@@ -14,7 +14,7 @@
 //!    smoke mode.
 //! 2. **Full rounds at n ∈ {255, 512, 1024}** on the sparse graph —
 //!    loopback reactor coordinator, measuring wall clock and
-//!    coordinator-thread CPU (`/proc/thread-self/stat`), with every
+//!    coordinator-thread CPU ([`dordis_bench::thread_cpu`]), with every
 //!    cohort's outcome pinned bit-equal to the in-memory driver. The
 //!    1024-client row is the first single-process round past the old
 //!    255 cap. A complete-graph full round at n = 255 rides along for
@@ -32,7 +32,8 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use dordis_net::coordinator::{run_coordinator, CollectMode, CoordinatorConfig};
+use dordis_bench::thread_cpu;
+use dordis_net::coordinator::{run_coordinator, CoordinatorConfig};
 use dordis_net::runtime::{run_client, ClientOptions};
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{Client, ClientInput};
@@ -69,22 +70,6 @@ fn input_for(id: ClientId) -> ClientInput {
             .collect(),
         noise_seeds: vec![[(id % 251) as u8 + 1; 32]; NOISE_T + 1],
     }
-}
-
-/// This thread's cumulative CPU time (user + system) from
-/// `/proc/thread-self/stat`, so the coordinator can be measured without
-/// counting the client threads.
-fn thread_cpu() -> Duration {
-    let Ok(stat) = std::fs::read_to_string("/proc/thread-self/stat") else {
-        return Duration::ZERO;
-    };
-    let Some(close) = stat.rfind(')') else {
-        return Duration::ZERO;
-    };
-    let fields: Vec<&str> = stat[close + 1..].split_whitespace().collect();
-    let utime: u64 = fields.get(11).and_then(|f| f.parse().ok()).unwrap_or(0);
-    let stime: u64 = fields.get(12).and_then(|f| f.parse().ok()).unwrap_or(0);
-    Duration::from_millis((utime + stime) * 10)
 }
 
 /// One in-process pass of the cohort's share stage under `graph`:
@@ -147,8 +132,7 @@ fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
         STAGE_TIMEOUT,
         CHUNKS,
         None,
-    )
-    .with_mode(CollectMode::Reactor);
+    );
     let cpu0 = thread_cpu();
     let start = Instant::now();
     let report = run_coordinator(&mut acceptor, &cfg).expect("coordinator");

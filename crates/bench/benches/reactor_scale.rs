@@ -1,26 +1,22 @@
-//! Coordinator scaling: the readiness-driven reactor versus the legacy
-//! round-robin poll sweep, on a loopback transport shaped like a real
+//! Coordinator scaling on a loopback transport shaped like a real
 //! deployment — throttled client uplinks (every frame costs a little
 //! latency) and a cohort-proportional sprinkle of *junk connections*
 //! (peers that connect but never speak the protocol: crashed clients
 //! reconnecting, health checks, scanners).
 //!
-//! The junk connections are where the sweep's `O(clients)` wall-clock
-//! term lives: its join loop does one **unsliced** blocking `recv_env`
-//! per accepted connection, so every junk peer serializes a full stage
-//! timeout before the next client can even be read. The reactor holds
-//! all pending joins under provisional tokens concurrently, so the same
-//! junk costs one deadline *in parallel* — and is discarded the moment
-//! the sampled set completes. Collection loops contribute the secondary
-//! term: one `tick`-long `recv_deadline` slice per un-ready channel per
-//! sweep revolution, versus one `epoll_pwait` wake-up per event batch.
+//! The reactor holds all pending joins under provisional tokens
+//! concurrently, so the junk costs one deadline *in parallel* — and is
+//! discarded the moment the sampled set completes — and the collection
+//! loops take one `epoll_pwait` wake-up per event batch. For each cohort
+//! size the bench runs the same chunked round, asserts it completes
+//! clean (no dropouts, every client a survivor), and prints wall-clock,
+//! *coordinator-thread* CPU ([`dordis_bench::thread_cpu`], so the client
+//! threads don't pollute the number) and the reactor's poll/event
+//! counts. `REACTOR_SCALE_SMOKE=1` shrinks the cohorts for CI.
 //!
-//! For each cohort size the same chunked round runs once per
-//! [`CollectMode`], measuring wall-clock and *coordinator-thread* CPU
-//! (`/proc/thread-self/stat`, so the client threads don't pollute the
-//! number). Results land in `BENCH_reactor_scale.json` at the workspace
-//! root; `REACTOR_SCALE_SMOKE=1` shrinks the cohorts for CI and skips
-//! the JSON write.
+//! `BENCH_reactor_scale.json` at the workspace root is the historical
+//! record of this bench when it still compared the reactor against the
+//! deleted round-robin poll sweep; the bench no longer writes it.
 //!
 //! ```sh
 //! cargo bench -p dordis-bench --bench reactor_scale
@@ -29,7 +25,8 @@
 
 use std::time::{Duration, Instant};
 
-use dordis_net::coordinator::{run_coordinator, CollectMode, CoordinatorConfig};
+use dordis_bench::thread_cpu;
+use dordis_net::coordinator::{run_coordinator, CoordinatorConfig};
 use dordis_net::runtime::{run_client, ClientOptions};
 use dordis_net::transport::{Channel as _, LoopbackHub, ThrottledChannel};
 use dordis_secagg::client::ClientInput;
@@ -45,8 +42,8 @@ const SEED: u64 = 4242;
 const PER_FRAME_BASE: Duration = Duration::from_millis(25);
 const PER_FRAME_JITTER_MS: u64 = 25;
 const UPLINK_BYTES_PER_SEC: u64 = 400_000;
-/// Per-stage dropout deadline — also what each junk connection costs
-/// the sweep's serial join loop.
+/// Per-stage dropout deadline — also how long each junk connection is
+/// held before the coordinator gives up on it.
 const STAGE_TIMEOUT: Duration = Duration::from_millis(900);
 
 /// Junk connections per cohort: one per twenty clients, at least two.
@@ -57,25 +54,6 @@ fn junk_for(n: u32) -> usize {
 /// Deterministic per-client uplink latency.
 fn per_frame(id: ClientId) -> Duration {
     PER_FRAME_BASE + Duration::from_millis((u64::from(id) * 37) % PER_FRAME_JITTER_MS)
-}
-
-/// This thread's cumulative CPU time (user + system) from
-/// `/proc/thread-self/stat`, so the coordinator can be measured without
-/// counting the client threads.
-fn thread_cpu() -> Duration {
-    let Ok(stat) = std::fs::read_to_string("/proc/thread-self/stat") else {
-        return Duration::ZERO;
-    };
-    // The comm field may contain spaces; skip past its closing paren.
-    let Some(close) = stat.rfind(')') else {
-        return Duration::ZERO;
-    };
-    let fields: Vec<&str> = stat[close + 1..].split_whitespace().collect();
-    // Fields 14/15 overall are utime/stime; 11/12 after pid+comm+state.
-    let utime: u64 = fields.get(11).and_then(|f| f.parse().ok()).unwrap_or(0);
-    let stime: u64 = fields.get(12).and_then(|f| f.parse().ok()).unwrap_or(0);
-    // USER_HZ is 100 on every Linux this runs on.
-    Duration::from_millis((utime + stime) * 10)
 }
 
 fn params(n: u32) -> RoundParams {
@@ -108,7 +86,7 @@ struct RunResult {
     events: u64,
 }
 
-fn timed_round(n: u32, mode: CollectMode) -> RunResult {
+fn timed_round(n: u32) -> RunResult {
     let (hub, mut acceptor) = LoopbackHub::new();
     let mut handles = Vec::new();
     let mut junk_handles = Vec::new();
@@ -146,8 +124,7 @@ fn timed_round(n: u32, mode: CollectMode) -> RunResult {
         STAGE_TIMEOUT,
         CHUNKS,
         None,
-    )
-    .with_mode(mode);
+    );
     let cpu0 = thread_cpu();
     let start = Instant::now();
     let report = run_coordinator(&mut acceptor, &cfg).expect("coordinator");
@@ -165,12 +142,12 @@ fn timed_round(n: u32, mode: CollectMode) -> RunResult {
     for h in junk_handles {
         h.join().expect("junk thread");
     }
-    let (polls, events) = report.reactor.map_or((0, 0), |s| (s.polls, s.events));
+    let stats = report.reactor.unwrap_or_default();
     RunResult {
         wall,
         cpu,
-        polls,
-        events,
+        polls: stats.polls,
+        events: stats.events,
     }
 }
 
@@ -179,78 +156,23 @@ fn main() {
     // 255 was the per-round maximum when every Shamir polynomial was
     // evaluated at global GF(256) coordinates; neighborhood indexing
     // lifted that (see cohort_scale), but 255 stays the top rung here
-    // so the sweep-vs-reactor series remains comparable over time.
+    // so the series remains comparable with the historical record.
     let cohorts: &[u32] = if smoke { &[8, 16] } else { &[32, 128, 255] };
     let best_of = if smoke { 1 } else { 2 };
 
-    let mut rows = Vec::new();
     for &n in cohorts {
-        let mut best: Option<(RunResult, RunResult)> = None;
-        for _ in 0..best_of {
-            let sweep = timed_round(n, CollectMode::PollSweep);
-            let reactor = timed_round(n, CollectMode::Reactor);
-            let better = match &best {
-                None => true,
-                Some((_, prev)) => reactor.wall < prev.wall,
-            };
-            if better {
-                best = Some((sweep, reactor));
-            }
-        }
-        let (sweep, reactor) = best.expect("at least one run");
+        let best = (0..best_of)
+            .map(|_| timed_round(n))
+            .min_by_key(|r| r.wall)
+            .expect("at least one run");
         println!(
-            "clients {n:3} (+{} junk): sweep {:7.3}s wall {:6.3}s cpu | reactor {:7.3}s wall \
-             {:6.3}s cpu ({} polls, {} events) | speedup {:.2}x",
+            "clients {n:3} (+{} junk): {:7.3}s wall {:8.4}s coordinator cpu \
+             ({} polls, {} events)",
             junk_for(n),
-            sweep.wall.as_secs_f64(),
-            sweep.cpu.as_secs_f64(),
-            reactor.wall.as_secs_f64(),
-            reactor.cpu.as_secs_f64(),
-            reactor.polls,
-            reactor.events,
-            sweep.wall.as_secs_f64() / reactor.wall.as_secs_f64().max(1e-9),
+            best.wall.as_secs_f64(),
+            best.cpu.as_secs_f64(),
+            best.polls,
+            best.events,
         );
-        rows.push((n, sweep, reactor));
     }
-
-    if smoke {
-        println!("smoke mode: skipping BENCH_reactor_scale.json");
-        return;
-    }
-    let mut entries = String::new();
-    for (i, (n, sweep, reactor)) in rows.iter().enumerate() {
-        if i > 0 {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\n      \"clients\": {n},\n      \"junk_connections\": {},\n      \
-             \"sweep_wall_secs\": {:.6},\n      \"sweep_cpu_secs\": {:.6},\n      \
-             \"reactor_wall_secs\": {:.6},\n      \"reactor_cpu_secs\": {:.6},\n      \
-             \"reactor_polls\": {},\n      \"reactor_events\": {},\n      \
-             \"speedup\": {:.4}\n    }}",
-            junk_for(*n),
-            sweep.wall.as_secs_f64(),
-            sweep.cpu.as_secs_f64(),
-            reactor.wall.as_secs_f64(),
-            reactor.cpu.as_secs_f64(),
-            reactor.polls,
-            reactor.events,
-            sweep.wall.as_secs_f64() / reactor.wall.as_secs_f64().max(1e-9),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"reactor_scale\",\n  \"dim\": {DIM},\n  \"bit_width\": {BITS},\n  \
-         \"chunks\": {CHUNKS},\n  \"per_frame_base_ms\": {},\n  \
-         \"per_frame_jitter_ms\": {PER_FRAME_JITTER_MS},\n  \
-         \"uplink_bytes_per_sec\": {UPLINK_BYTES_PER_SEC},\n  \"stage_timeout_ms\": {},\n  \
-         \"cohorts\": [\n{entries}\n  ]\n}}\n",
-        PER_FRAME_BASE.as_millis(),
-        STAGE_TIMEOUT.as_millis(),
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_reactor_scale.json"
-    );
-    std::fs::write(path, &json).expect("write BENCH_reactor_scale.json");
-    println!("wrote {path}");
 }

@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use dordis_compute::JobOutcome;
 use dordis_net::compute::ComputePlane;
+use dordis_net::reactor::Reactor;
 use dordis_pipeline::ChunkPlan;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::driver::run_until_unmasking;
@@ -144,7 +145,10 @@ fn main() {
     };
     let best_of = if smoke { 1 } else { 3 };
 
-    let mut plane = ComputePlane::new(workers, None);
+    // The plane publishes completions through a reactor waker, exactly
+    // as in the coordinator; nothing polls it here.
+    let reactor = Reactor::new(Duration::from_millis(10)).expect("reactor");
+    let mut plane = ComputePlane::new(workers, reactor.waker());
     let mut rows = Vec::new();
     for &(n, rate, dim) in &grid {
         let p = params(n, dim);

@@ -59,7 +59,7 @@ fn main() -> ExitCode {
                  [--dim D] [--bits B] [--graph auto|complete|harary] [--round R0] \
                  [--noise-components T] [--chunks M] [--workers N] [--shards S] \
                  [--ingress-budget BYTES] [--stage-timeout-ms MS] \
-                 [--join-timeout-ms MS] [--collect reactor|sweep] [--verify-demo] \
+                 [--join-timeout-ms MS] [--verify-demo] \
                  [--trace FILE] [--metrics-addr ADDR] \
                  [--replica ADDR | --backup ADDR] [--lease-ms MS]\n  \
                  dordis join --connect <addr> --id <k> [--seed S] [--failover ADDR] \
@@ -132,11 +132,6 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
-    };
-    let mode = match flag_value(args, "--collect").unwrap_or("reactor") {
-        "reactor" => CollectMode::Reactor,
-        "sweep" => CollectMode::PollSweep,
-        other => return Err(format!("unknown collect mode `{other}`")),
     };
     let graph = match flag_value(args, "--graph").unwrap_or("auto") {
         "auto" => MaskingGraph::recommended(clients as usize),
@@ -275,7 +270,7 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
         chunks,
         chunk_compute: None,
         tick: CoordinatorConfig::DEFAULT_TICK,
-        mode,
+        mode: CollectMode::Reactor,
         workers,
         shards,
         ingress_budget,

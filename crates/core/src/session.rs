@@ -91,8 +91,6 @@ pub struct FlSessionOptions {
     pub sample: SamplingConfig,
     /// Requested chunk count for the networked data plane.
     pub chunks: usize,
-    /// Collection engine for the networked path.
-    pub mode: CollectMode,
     /// Compute-plane worker threads for the networked coordinator
     /// (`0` = serial unmasking; results are bit-equal either way).
     pub workers: usize,
@@ -122,7 +120,6 @@ impl FlSessionOptions {
             rounds,
             sample,
             chunks: 4,
-            mode: CollectMode::default(),
             workers: 0,
             shards: 1,
             droppers: Vec::new(),
@@ -754,7 +751,7 @@ fn networked_session_cfg(
         chunks: opts.chunks,
         chunk_compute: None,
         tick: dordis_net::coordinator::CoordinatorConfig::DEFAULT_TICK,
-        mode: opts.mode,
+        mode: CollectMode::Reactor,
         workers: opts.workers,
         shards: opts.shards,
         ingress_budget: opts.ingress_budget,

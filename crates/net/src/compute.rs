@@ -9,9 +9,7 @@
 //! frames; when a worker finishes, the notifier wakes the reactor under
 //! [`COMPUTE_TOKEN`], so a finished chunk arrives at the event loop
 //! exactly like network readiness — in the same `epoll_pwait` sleep,
-//! with no polling. Under the legacy poll sweep (no reactor) the plane
-//! still parallelizes the CPU work; completions are then drained in the
-//! sweep's idle slots and at the stage barrier.
+//! with no polling.
 
 use std::sync::Arc;
 
@@ -37,16 +35,14 @@ pub struct ComputePlane {
 }
 
 impl ComputePlane {
-    /// Spawns `workers` threads. With a waker, every completion pokes
-    /// the reactor under [`COMPUTE_TOKEN`]; without one (poll-sweep
-    /// mode) completions just queue until drained.
+    /// Spawns `workers` threads; every completion pokes the reactor
+    /// behind `waker` under [`COMPUTE_TOKEN`].
     #[must_use]
-    pub fn new(workers: usize, waker: Option<Arc<WakeQueue>>) -> ComputePlane {
+    pub fn new(workers: usize, waker: Arc<WakeQueue>) -> ComputePlane {
         let workers = workers.max(1);
-        let notifier: Option<Notifier> =
-            waker.map(|w| Arc::new(move || w.wake(COMPUTE_TOKEN)) as Notifier);
+        let notifier: Notifier = Arc::new(move || waker.wake(COMPUTE_TOKEN));
         ComputePlane {
-            pool: Pool::new(workers, notifier),
+            pool: Pool::new(workers, Some(notifier)),
             workers,
         }
     }
@@ -142,7 +138,7 @@ mod tests {
     #[test]
     fn completion_wakes_the_reactor_under_compute_token() {
         let mut reactor = Reactor::new(Duration::from_millis(5)).unwrap();
-        let mut plane = ComputePlane::new(2, Some(reactor.waker()));
+        let mut plane = ComputePlane::new(2, reactor.waker());
         plane.submit(3, || vec![1, 2, 3]);
 
         // The completion must surface as a readable COMPUTE_TOKEN event
@@ -168,20 +164,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_mode_without_waker_still_completes() {
-        let mut plane = ComputePlane::new(1, None);
-        plane.submit(0, || vec![9]);
-        let (chunk, outcome) = plane.wait_complete().expect("job");
-        assert_eq!(chunk, 0);
-        assert!(matches!(outcome, JobOutcome::Done(v) if v == vec![9]));
-    }
-
-    #[test]
     fn discard_stale_flushes_an_aborted_rounds_leftovers() {
         // Round N submits chunks 0 and 1, drains only chunk-0-or-1 once
         // (the abort fires mid-barrier), and the round ends. The next
         // round's chunk 0 must never see round N's queued sum.
-        let mut plane = ComputePlane::new(1, None);
+        let reactor = Reactor::new(Duration::from_millis(5)).unwrap();
+        let mut plane = ComputePlane::new(1, reactor.waker());
         plane.submit(0, || vec![111]);
         plane.submit(1, || vec![222]);
         let _ = plane.wait_complete().expect("one completion");

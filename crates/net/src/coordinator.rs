@@ -40,15 +40,10 @@
 //!
 //! ## Readiness-driven collection
 //!
-//! By default ([`CollectMode::Reactor`]) the collection loops are driven
-//! by [`reactor`](crate::reactor) events: the coordinator thread sleeps
-//! in `epoll_pwait` until a frame, a disconnect, or a deadline is
-//! actually ready, so one thread serves hundreds of chunk-streaming
-//! clients with `O(events)` wake-ups. The legacy round-robin sweep over
-//! blocking channels (`recv_deadline` in [`CoordinatorConfig::tick`]
-//! slices, `O(clients × ticks)`) survives as
-//! [`CollectMode::PollSweep`] for the comparison benches. Both modes run
-//! the identical chunk state machine and produce bit-equal outcomes.
+//! The collection loops are driven by [`reactor`](crate::reactor)
+//! events: the coordinator thread sleeps in `epoll_pwait` until a frame,
+//! a disconnect, or a deadline is actually ready, so one thread serves
+//! hundreds of chunk-streaming clients with `O(events)` wake-ups.
 //!
 //! [`DropoutSchedule`]: dordis_secagg::driver::DropoutSchedule
 
@@ -76,17 +71,15 @@ use crate::session::{Seating, Session, SessionConfig};
 use crate::transport::{send_env, wire_message, Acceptor};
 use crate::NetError;
 
-/// How the coordinator discovers frames and deadlines.
+/// Selects nothing: the [`Reactor`] is the only collection engine.
+/// The single variant exists for source compatibility with callers that
+/// still fill in [`SessionConfig::mode`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CollectMode {
-    /// Readiness-driven: one `epoll_pwait` sleep per batch of events —
-    /// `O(events)` wake-ups per round. The default.
+    /// Readiness-driven collection: one `epoll_pwait` sleep per batch of
+    /// events — `O(events)` wake-ups per round.
     #[default]
     Reactor,
-    /// The legacy round-robin sweep: one blocking `recv_deadline` slice
-    /// per pending client per tick — `O(clients × ticks)`. Kept for the
-    /// `reactor_scale` comparison bench and as a fallback.
-    PollSweep,
 }
 
 /// Configuration of one coordinated round.
@@ -116,12 +109,8 @@ pub struct CoordinatorConfig {
     /// can realize Figure 12's comm/compute overlap on a loopback
     /// transport. `None` injects nothing (production).
     pub chunk_compute: Option<Duration>,
-    /// Scheduling granularity: the reactor's timer-wheel tick, and the
-    /// poll-slice length of the legacy sweep (formerly three scattered
-    /// 10 ms constants).
+    /// Scheduling granularity: the reactor's timer-wheel tick.
     pub tick: Duration,
-    /// Which collection engine drives the round.
-    pub mode: CollectMode,
     /// Compute-plane worker threads for per-chunk unmask jobs. `0`
     /// (the default) keeps the serial reference path: mask expansion
     /// and chunk aggregation run inline on the coordinator thread.
@@ -156,7 +145,7 @@ impl CoordinatorConfig {
     /// Default scheduling granularity (see [`CoordinatorConfig::tick`]).
     pub const DEFAULT_TICK: Duration = Duration::from_millis(10);
 
-    /// A config with the default tick and collection mode.
+    /// A config with the default tick.
     #[must_use]
     pub fn new(
         params: RoundParams,
@@ -173,7 +162,6 @@ impl CoordinatorConfig {
             chunks,
             chunk_compute,
             tick: Self::DEFAULT_TICK,
-            mode: CollectMode::default(),
             workers: 0,
             telemetry: Telemetry::disabled(),
             cohort,
@@ -187,13 +175,6 @@ impl CoordinatorConfig {
     #[must_use]
     pub fn single(params: RoundParams, join_timeout: Duration, stage_timeout: Duration) -> Self {
         Self::new(params, join_timeout, stage_timeout, 1, None)
-    }
-
-    /// Overrides the collection engine (builder-style).
-    #[must_use]
-    pub fn with_mode(mut self, mode: CollectMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Overrides the compute-plane worker count (builder-style).
@@ -277,11 +258,11 @@ pub struct NetRoundReport {
     /// [`NetError::StaleRound`] check instead of being parsed into this
     /// round's state.
     pub stale_frames: u64,
-    /// Event-loop wake-up accounting ([`CollectMode::Reactor`] only),
-    /// as a **per-round delta**: only the polls/events/timer fires this
-    /// round produced (join phase included when the round ran inside a
-    /// [`Session`]). The scale tests assert `polls` stays `O(events)`,
-    /// not `O(clients × ticks)`.
+    /// Event-loop wake-up accounting (always `Some`), as a **per-round
+    /// delta**: only the polls/events/timer fires this round produced
+    /// (join phase included when the round ran inside a [`Session`]).
+    /// The scale tests assert `polls` stays `O(events)`, not
+    /// `O(clients × ticks)`.
     pub reactor: Option<ReactorStats>,
     /// The same counters cumulative since the session's reactor was
     /// built — the pre-existing semantics, kept for whole-session
@@ -362,7 +343,7 @@ pub fn run_coordinator(
         chunks: cfg.chunks,
         chunk_compute: cfg.chunk_compute,
         tick: cfg.tick,
-        mode: cfg.mode,
+        mode: CollectMode::Reactor,
         workers: cfg.workers,
         shards: 1,
         ingress_budget: cfg.ingress_budget,
@@ -449,11 +430,11 @@ impl RoundMachine {
     /// # Errors
     ///
     /// [`NetError::SecAgg`] when the protocol aborts (below threshold,
-    /// tampering); engine failures. Individual client failures are
+    /// tampering); reactor failures. Individual client failures are
     /// dropouts, not errors.
     pub fn run(
         mut self,
-        mut engine: Option<&mut Reactor>,
+        reactor: &mut Reactor,
         compute: Option<&mut ComputePlane>,
         peers: &mut Peers,
         cfg: &CoordinatorConfig,
@@ -463,7 +444,7 @@ impl RoundMachine {
         // Per-round reactor accounting: the report's `reactor` field is
         // the delta over this machine's run (the session widens the
         // base to include its join phase).
-        let reactor_base = engine.as_deref().map(|r| r.stats);
+        let reactor_base = reactor.stats;
         let round_span = cfg.telemetry.span("round", "round", round, None);
         for &id in &cfg.params.clients {
             if !peers.contains_key(&id) {
@@ -485,13 +466,7 @@ impl RoundMachine {
             codec::encode_setup(&cfg.params, self.requested_chunks, cfg.cohort, payload),
         );
         broadcast(peers, &setup, &mut self.dropouts, "Setup", &cfg.telemetry);
-        flush_sends(
-            engine.as_deref_mut(),
-            peers,
-            &mut self.dropouts,
-            "Setup",
-            cfg,
-        );
+        flush_sends(reactor, peers, &mut self.dropouts, "Setup", cfg);
         // Fault hook: the primary dies right after the Setup broadcast
         // reached every seated client — they hold round state the
         // coordinator loses. Propagated directly (never through the
@@ -506,7 +481,7 @@ impl RoundMachine {
         let mut up = Traffic::default();
         let bodies = self
             .collect_stage(
-                engine.as_deref_mut(),
+                reactor,
                 peers,
                 &joined,
                 StageTag::AdvertiseKeys,
@@ -542,13 +517,7 @@ impl RoundMachine {
             "AdvertiseKeys",
             &cfg.telemetry,
         );
-        flush_sends(
-            engine.as_deref_mut(),
-            peers,
-            &mut self.dropouts,
-            "AdvertiseKeys",
-            cfg,
-        );
+        flush_sends(reactor, peers, &mut self.dropouts, "AdvertiseKeys", cfg);
         push_stage(&mut self.stats, &cfg.telemetry, "AdvertiseKeys", &up, down);
         drop(stage_span);
 
@@ -562,7 +531,7 @@ impl RoundMachine {
         let mut up = Traffic::default();
         let bodies = self
             .collect_stage(
-                engine.as_deref_mut(),
+                reactor,
                 peers,
                 &expected,
                 StageTag::ShareKeys,
@@ -598,13 +567,7 @@ impl RoundMachine {
             down.add(env.encode().len() as u64);
             send_or_drop(peers, id, &env, "ShareKeys", &mut self.dropouts);
         }
-        flush_sends(
-            engine.as_deref_mut(),
-            peers,
-            &mut self.dropouts,
-            "ShareKeys",
-            cfg,
-        );
+        flush_sends(reactor, peers, &mut self.dropouts, "ShareKeys", cfg);
         push_stage(&mut self.stats, &cfg.telemetry, "ShareKeys", &up, down);
         drop(stage_span);
 
@@ -618,11 +581,9 @@ impl RoundMachine {
         // mid-flight — the hardest crash, nothing of this round exists
         // outside the dying process.
         cfg.faults.trip(KillPoint::MidMaskedStage, round)?;
-        let up = match engine.as_deref_mut() {
-            Some(reactor) => self.collect_masked_chunks_reactor(reactor, peers, &expected, cfg),
-            None => self.collect_masked_chunks_sweep(peers, &expected, cfg),
-        }
-        .map_err(|e| abort_round(peers, round, e))?;
+        let up = self
+            .collect_masked_chunks(reactor, peers, &expected, cfg)
+            .map_err(|e| abort_round(peers, round, e))?;
         let u3 = self.server.finalize_masked().map_err(|e| {
             abort_all(peers, round, &e);
             NetError::SecAgg(e)
@@ -640,7 +601,7 @@ impl RoundMachine {
             &cfg.telemetry,
         );
         flush_sends(
-            engine.as_deref_mut(),
+            reactor,
             peers,
             &mut self.dropouts,
             "MaskedInputCollection",
@@ -666,7 +627,7 @@ impl RoundMachine {
             let mut up = Traffic::default();
             let bodies = self
                 .collect_stage(
-                    engine.as_deref_mut(),
+                    reactor,
                     peers,
                     &expected,
                     StageTag::ConsistencySig,
@@ -706,13 +667,7 @@ impl RoundMachine {
                 "ConsistencyCheck",
                 &cfg.telemetry,
             );
-            flush_sends(
-                engine.as_deref_mut(),
-                peers,
-                &mut self.dropouts,
-                "ConsistencyCheck",
-                cfg,
-            );
+            flush_sends(reactor, peers, &mut self.dropouts, "ConsistencyCheck", cfg);
             push_stage(
                 &mut self.stats,
                 &cfg.telemetry,
@@ -732,7 +687,7 @@ impl RoundMachine {
         let mut up = Traffic::default();
         let bodies = self
             .collect_stage(
-                engine.as_deref_mut(),
+                reactor,
                 peers,
                 &expected,
                 StageTag::Unmasking,
@@ -866,13 +821,7 @@ impl RoundMachine {
                 "Unmasking",
                 &cfg.telemetry,
             );
-            flush_sends(
-                engine.as_deref_mut(),
-                peers,
-                &mut self.dropouts,
-                "Unmasking",
-                cfg,
-            );
+            flush_sends(reactor, peers, &mut self.dropouts, "Unmasking", cfg);
             push_stage(&mut self.stats, &cfg.telemetry, "Unmasking", &up, down);
             drop(stage_span);
             let _stage_span = cfg
@@ -887,7 +836,7 @@ impl RoundMachine {
             let mut up = Traffic::default();
             let bodies = self
                 .collect_stage(
-                    engine.as_deref_mut(),
+                    reactor,
                     peers,
                     &expected,
                     StageTag::NoiseShares,
@@ -962,13 +911,7 @@ impl RoundMachine {
             dordis_secagg::messages::IdList(u3.clone()).encoded(),
         );
         broadcast(peers, &fin, &mut self.dropouts, "Finished", &cfg.telemetry);
-        flush_sends(
-            engine.as_deref_mut(),
-            peers,
-            &mut self.dropouts,
-            "Finished",
-            cfg,
-        );
+        flush_sends(reactor, peers, &mut self.dropouts, "Finished", cfg);
 
         debug_assert!(self.server.privacy_invariant_holds());
         for d in &self.dropouts {
@@ -997,7 +940,7 @@ impl RoundMachine {
                 .add(self.stale_frames);
         }
         drop(round_span);
-        let reactor_now = engine.map(|r| r.stats);
+        let reactor_now = reactor.stats;
         Ok(NetRoundReport {
             round,
             outcome: self.server.finish(),
@@ -1005,11 +948,8 @@ impl RoundMachine {
             dropouts: self.dropouts,
             chunks: total_chunks,
             stale_frames: self.stale_frames,
-            reactor: match (reactor_now, reactor_base) {
-                (Some(now), Some(base)) => Some(now.delta_since(base)),
-                (now, _) => now,
-            },
-            reactor_session: reactor_now,
+            reactor: Some(reactor_now.delta_since(reactor_base)),
+            reactor_session: Some(reactor_now),
             metrics: None,
         })
     }
@@ -1131,91 +1071,16 @@ impl RoundMachine {
         st.active += 1;
     }
 
-    /// The per-(stage, chunk) masked-input collector — blocking-sweep
-    /// engine. Chunk `c + 1`'s frames accumulate (from fast clients and
-    /// channel buffers) while chunk `c` is decoded, validated, and
+    /// The per-(stage, chunk) masked-input collector. Chunk `c + 1`'s
+    /// frames accumulate while chunk `c` is decoded, validated, and
     /// aggregated into the server's per-chunk state; the stage deadline
-    /// restarts per chunk. A client whose stream stops — disconnect,
-    /// garbage, or silence past the active chunk's deadline — is dropped
-    /// from every remaining chunk; its partial deliveries never reach a
-    /// sum because U3 requires all chunks.
-    fn collect_masked_chunks_sweep(
-        &mut self,
-        peers: &mut Peers,
-        expected: &[ClientId],
-        cfg: &CoordinatorConfig,
-    ) -> Result<Traffic, NetError> {
-        let m = self.plan.chunks();
-        let stage_name = "MaskedInputCollection";
-        let mut st = ChunkCollect::new(expected, peers, m);
-        let mut deadline = Instant::now() + cfg.stage_timeout;
-
-        while st.active < m {
-            st.pendings[st.active].retain(|id| peers.contains_key(id));
-            if st.pendings[st.active].is_empty() {
-                // Chunk complete: aggregate it while later chunks keep
-                // arriving into the transport buffers.
-                self.aggregate_active(&mut st, cfg);
-                deadline = Instant::now() + cfg.stage_timeout;
-                continue;
-            }
-            if Instant::now() >= deadline {
-                let late: Vec<ClientId> = st.pendings[st.active].iter().copied().collect();
-                for id in late {
-                    let chunk = st.active as u16;
-                    st.remove_everywhere(id);
-                    drop_peer(
-                        peers,
-                        id,
-                        stage_name,
-                        Some(chunk),
-                        DropKind::DeadlineMissed,
-                        &mut self.dropouts,
-                    );
-                }
-                continue;
-            }
-            let ids: Vec<ClientId> = st.pendings[st.active].iter().copied().collect();
-            for id in ids {
-                let Some(chan) = peers.get_mut(&id) else {
-                    st.remove_everywhere(id);
-                    continue;
-                };
-                let slice = (Instant::now() + cfg.tick).min(deadline);
-                match chan.recv_deadline(slice) {
-                    Ok(frame) => {
-                        let (_, frame) = self.file_chunk_frame(&mut st, peers, id, frame)?;
-                        // Decoded (or rejected) at arrival either way:
-                        // the allocation goes straight back to the pool.
-                        if let Some(chan) = peers.get_mut(&id) {
-                            chan.recycle_frame(frame);
-                        }
-                    }
-                    Err(NetError::Timeout) => {}
-                    Err(_) => {
-                        let chunk = st.died_at(id);
-                        st.remove_everywhere(id);
-                        drop_peer(
-                            peers,
-                            id,
-                            stage_name,
-                            Some(chunk),
-                            DropKind::Disconnected,
-                            &mut self.dropouts,
-                        );
-                    }
-                }
-            }
-        }
-        Ok(st.uplink())
-    }
-
-    /// The per-(stage, chunk) masked-input collector — reactor engine.
-    /// Same state machine, but frames, disconnects, and per-chunk
-    /// deadlines arrive as events: the thread sleeps in the poller while
-    /// clients stream, instead of sweeping every pending channel per
-    /// tick.
-    fn collect_masked_chunks_reactor(
+    /// restarts per chunk. Frames, disconnects, and per-chunk deadlines
+    /// arrive as reactor events, so the thread sleeps in the poller while
+    /// clients stream. A client whose stream stops — disconnect, garbage,
+    /// or silence past the active chunk's deadline — is dropped from
+    /// every remaining chunk; its partial deliveries never reach a sum
+    /// because U3 requires all chunks.
+    fn collect_masked_chunks(
         &mut self,
         reactor: &mut Reactor,
         peers: &mut Peers,
@@ -1371,35 +1236,6 @@ impl RoundMachine {
     // Round-global stage collection.
     // -----------------------------------------------------------------
 
-    /// Collects exactly one body per expected client for `want`, until
-    /// the per-stage deadline. Silent or disconnected clients become
-    /// detected dropouts and are removed from `peers`. `idle` runs once
-    /// per loop turn so pending per-chunk work (unmasking) overlaps the
-    /// wait.
-    ///
-    /// # Errors
-    ///
-    /// Only `idle` failures (protocol aborts) — per-client failures are
-    /// dropouts, not errors.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_stage(
-        &mut self,
-        engine: Option<&mut Reactor>,
-        peers: &mut Peers,
-        expected: &[ClientId],
-        want: StageTag,
-        cfg: &CoordinatorConfig,
-        stage_name: &'static str,
-        up: &mut Traffic,
-        idle: &mut IdleWork<'_>,
-    ) -> Result<BTreeMap<ClientId, Vec<u8>>, NetError> {
-        match engine {
-            Some(reactor) => self
-                .collect_stage_reactor(reactor, peers, expected, want, cfg, stage_name, up, idle),
-            None => self.collect_stage_sweep(peers, expected, want, cfg, stage_name, up, idle),
-        }
-    }
-
     /// Files one round-global stage frame; returns `false` if the client
     /// was dropped.
     #[allow(clippy::too_many_arguments)]
@@ -1479,92 +1315,21 @@ impl RoundMachine {
         }
     }
 
-    /// Blocking-sweep engine for [`RoundMachine::collect_stage`].
+    /// Collects exactly one body per expected client for `want`, until
+    /// the per-stage deadline. Silent or disconnected clients become
+    /// detected dropouts and are removed from `peers`. The thread sleeps
+    /// in the poller until frames, disconnects, or the stage deadline are
+    /// ready; `idle` runs between polls so pending per-chunk work
+    /// (unmasking) overlaps the wait, with non-blocking polls while it
+    /// reports more work so collection stays responsive during long
+    /// interleaves.
+    ///
+    /// # Errors
+    ///
+    /// Only `idle` failures (protocol aborts) and poller failures —
+    /// per-client failures are dropouts, not errors.
     #[allow(clippy::too_many_arguments)]
-    fn collect_stage_sweep(
-        &mut self,
-        peers: &mut Peers,
-        expected: &[ClientId],
-        want: StageTag,
-        cfg: &CoordinatorConfig,
-        stage_name: &'static str,
-        up: &mut Traffic,
-        idle: &mut IdleWork<'_>,
-    ) -> Result<BTreeMap<ClientId, Vec<u8>>, NetError> {
-        let mut deadline = Instant::now() + cfg.stage_timeout;
-        let mut pending: BTreeSet<ClientId> = expected
-            .iter()
-            .copied()
-            .filter(|id| peers.contains_key(id))
-            .collect();
-        let mut bodies: BTreeMap<ClientId, Vec<u8>> = BTreeMap::new();
-        while !pending.is_empty() && Instant::now() < deadline {
-            // Interleaved background work (per-chunk unmasking, possibly
-            // with injected compute) must not eat the peers' response
-            // window: credit its wall time back to the stage deadline.
-            let idle_start = Instant::now();
-            idle(&mut self.server).map_err(NetError::SecAgg)?;
-            deadline += idle_start.elapsed();
-            let ids: Vec<ClientId> = pending.iter().copied().collect();
-            for id in ids {
-                let Some(chan) = peers.get_mut(&id) else {
-                    pending.remove(&id);
-                    continue;
-                };
-                let slice = (Instant::now() + cfg.tick).min(deadline);
-                match chan.recv_deadline(slice) {
-                    Ok(frame) => {
-                        self.file_stage_frame(
-                            peers,
-                            &mut pending,
-                            &mut bodies,
-                            id,
-                            &frame,
-                            want,
-                            stage_name,
-                            up,
-                        );
-                        // The body was copied out during decode; the
-                        // frame allocation goes back to the pool.
-                        if let Some(chan) = peers.get_mut(&id) {
-                            chan.recycle_frame(frame);
-                        }
-                    }
-                    Err(NetError::Timeout) => {}
-                    Err(_) => {
-                        pending.remove(&id);
-                        drop_peer(
-                            peers,
-                            id,
-                            stage_name,
-                            None,
-                            DropKind::Disconnected,
-                            &mut self.dropouts,
-                        );
-                    }
-                }
-            }
-        }
-        for id in pending {
-            drop_peer(
-                peers,
-                id,
-                stage_name,
-                None,
-                DropKind::DeadlineMissed,
-                &mut self.dropouts,
-            );
-        }
-        Ok(bodies)
-    }
-
-    /// Reactor engine for [`RoundMachine::collect_stage`]: the thread
-    /// sleeps in the poller until frames, disconnects, or the stage
-    /// deadline are ready. Idle work runs between polls (non-blocking
-    /// polls while it reports more work, so collection stays responsive
-    /// during long interleaves).
-    #[allow(clippy::too_many_arguments)]
-    fn collect_stage_reactor(
+    fn collect_stage(
         &mut self,
         reactor: &mut Reactor,
         peers: &mut Peers,
@@ -1932,7 +1697,7 @@ pub(crate) fn drop_peer(
 
 /// Broadcasts an envelope to every live peer; send failures become
 /// detected dropouts (a write timeout is a deadline miss, anything else
-/// a disconnect). On the reactor engine the sends only queue — callers
+/// a disconnect). On registered channels the sends only queue — callers
 /// follow up with [`flush_sends`]. Returns downlink traffic.
 ///
 /// The frame is encoded exactly **once** per broadcast (counted in
@@ -1989,18 +1754,16 @@ fn send_failure_kind(e: &NetError) -> DropKind {
     }
 }
 
-/// Reactor engine only: drives write readiness until every queued
-/// broadcast frame has drained (peers that cannot absorb theirs within
-/// the stage timeout become detected dropouts). No-op on the sweep
-/// engine, whose sends are blocking.
+/// Drives write readiness until every queued broadcast frame has
+/// drained (peers that cannot absorb theirs within the stage timeout
+/// become detected dropouts).
 pub(crate) fn flush_sends(
-    engine: Option<&mut Reactor>,
+    reactor: &mut Reactor,
     peers: &mut Peers,
     dropouts: &mut Vec<DetectedDropout>,
     stage: &'static str,
     cfg: &CoordinatorConfig,
 ) {
-    let Some(reactor) = engine else { return };
     let deadline = Instant::now() + cfg.stage_timeout;
     let (mut events, mut expired) = (Vec::new(), Vec::new());
     loop {

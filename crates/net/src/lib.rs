@@ -28,7 +28,7 @@
 //! - [`reactor`]: a readiness-driven event loop (direct-syscall epoll
 //!   poller, deadline timer wheel, loopback waker) so one coordinator
 //!   thread serves hundreds of chunk-streaming clients with `O(events)`
-//!   wake-ups instead of the legacy `O(clients × ticks)` poll sweep.
+//!   wake-ups instead of `O(clients × ticks)` blocking receive slices.
 //! - [`compute`]: the coordinator's compute plane — a
 //!   [`dordis_compute::Pool`] of worker threads running per-chunk
 //!   unmask jobs (mask expansion sliced to each chunk's element offset
@@ -42,9 +42,8 @@
 //!   chunk `c+1` is still on the wire, per-stage deadlines apply per
 //!   chunk, and a peer that goes silent or disconnects (or stops its
 //!   chunk stream partway) becomes a *detected* dropout, replacing the
-//!   driver's scripted `DropoutSchedule`. Collection is reactor-driven
-//!   by default; the legacy poll sweep survives as
-//!   [`coordinator::CollectMode::PollSweep`] for comparison benches.
+//!   driver's scripted `DropoutSchedule`. Collection is driven by the
+//!   reactor, the only collection engine.
 //! - [`runtime`]: the symmetric client task driving
 //!   [`dordis_secagg::client::Client`], streaming its masked input one
 //!   chunk frame at a time, with optional fail injection (disconnect or

@@ -1002,8 +1002,8 @@ impl Drop for Reactor {
 /// The readiness-driven side of a [`Channel`].
 ///
 /// Before [`register`](EventedChannel::register) is called, the blocking
-/// [`Channel`] API behaves exactly as before (clients and the legacy
-/// poll-sweep coordinator use it unchanged). After registration the
+/// [`Channel`] API behaves exactly as before (clients and the
+/// replication link use it unchanged). After registration the
 /// channel becomes non-blocking: `send` enqueues into a backpressure
 /// buffer and flushes opportunistically, `try_recv` reassembles frames
 /// from whatever bytes are available, and `try_flush` drains the buffer

@@ -8,8 +8,7 @@
 //!
 //! A [`Session`] owns what outlives a round:
 //!
-//! - the collection engine (one [`Reactor`] serving every round's
-//!   timers and channels, or the legacy poll sweep),
+//! - the [`Reactor`] serving every round's timers and channels,
 //! - the *parked* connections: every authenticated client channel,
 //!   registered once and kept across rounds,
 //! - the round counter stamped into every envelope, and
@@ -53,14 +52,14 @@
 //! With [`SessionConfig::shards`] `S > 1` the seated cohort is
 //! partitioned by [`shard_of`] (a hash of the client id) into `S`
 //! rosters, each hosting its own [`RoundMachine`] — fresh secagg
-//! server, fresh chunk plan — on its own thread, with its own reactor
-//! under [`CollectMode::Reactor`]. Join, seating, and the parked set
-//! stay global; only the aggregation data plane fans out. Afterwards
-//! the per-shard outcomes merge: chunk sums add element-wise in
-//! `Z_{2^b}`, survivor sets union (sorted, exactly as the unsharded
-//! server reports them), and dropped clients are recomputed against
-//! the *union* cohort in cohort order — so a sharded round is
-//! bit-equal to the unsharded one over the same cohort and inputs.
+//! server, fresh chunk plan — on its own thread, with its own reactor.
+//! Join, seating, and the parked set stay global; only the aggregation
+//! data plane fans out. Afterwards the per-shard outcomes merge: chunk
+//! sums add element-wise in `Z_{2^b}`, survivor sets union (sorted,
+//! exactly as the unsharded server reports them), and dropped clients
+//! are recomputed against the *union* cohort in cohort order — so a
+//! sharded round is bit-equal to the unsharded one over the same cohort
+//! and inputs.
 //!
 //! Two invariants keep the XNoise privacy ledger honest under
 //! sharding. Every Setup frame carries the *union* cohort size (wire
@@ -89,7 +88,7 @@ use crate::coordinator::{
 use crate::faults::FaultPlan;
 use crate::reactor::{EventedChannel, Reactor, ReactorStats, Token};
 use crate::replication::{Primary, SessionCheckpoint};
-use crate::transport::{recv_env, send_env, wire_message, Acceptor};
+use crate::transport::{send_env, wire_message, Acceptor};
 use crate::NetError;
 
 /// Who a round's seating verifier admitted and who it threw out.
@@ -146,9 +145,11 @@ pub struct SessionConfig<'a> {
     /// Injected per-chunk s-comp cost (see
     /// [`CoordinatorConfig::chunk_compute`]).
     pub chunk_compute: Option<Duration>,
-    /// Scheduling granularity (reactor tick / sweep poll slice).
+    /// Scheduling granularity (the reactor tick).
     pub tick: Duration,
-    /// Collection engine for every round.
+    /// Selects nothing: [`CollectMode`] has the single value
+    /// [`CollectMode::Reactor`]. The field exists only for source
+    /// compatibility with callers that still set it.
     pub mode: CollectMode,
     /// Compute-plane worker threads shared by every round (`0` =
     /// serial unmasking on the coordinator thread; see
@@ -185,8 +186,6 @@ pub struct SessionConfig<'a> {
     pub telemetry: Telemetry,
     /// Bind address (`host:port`) for the Prometheus scrape endpoint,
     /// served by the reactor itself as one more epoll registration.
-    /// Requires [`CollectMode::Reactor`]; the sweep has no poller to
-    /// hang a listener on.
     pub metrics_addr: Option<String>,
     /// Dedicated channel to a backup coordinator. When set, every
     /// [`Session::commit_round`] ships a [`SessionCheckpoint`] and
@@ -208,7 +207,7 @@ type Answer = Option<Vec<u8>>;
 pub struct Session<'a> {
     acceptor: &'a mut dyn Acceptor,
     cfg: SessionConfig<'a>,
-    engine: Option<Reactor>,
+    reactor: Reactor,
     /// Worker pool for pooled unmasking (kept warm across rounds);
     /// `None` runs the serial reference path.
     compute: Option<ComputePlane>,
@@ -247,13 +246,12 @@ struct ReplicaLink {
 }
 
 impl<'a> Session<'a> {
-    /// Opens a session over `acceptor` (binds the collection engine;
-    /// accepts nothing yet).
+    /// Opens a session over `acceptor` (builds the reactor; accepts
+    /// nothing yet).
     ///
     /// # Errors
     ///
-    /// Reactor construction failures, scrape-listener bind failures,
-    /// and a `metrics_addr` configured without the reactor engine.
+    /// Reactor construction failures and scrape-listener bind failures.
     pub fn new(
         acceptor: &'a mut dyn Acceptor,
         mut cfg: SessionConfig<'a>,
@@ -262,37 +260,23 @@ impl<'a> Session<'a> {
         // The replication link stays *unregistered*: checkpoint traffic
         // happens at round boundaries, where the session thread is
         // between collection loops, so the blocking Channel API is
-        // exactly right (and works identically under both engines).
+        // exactly right.
         let replica = cfg.replica.take().map(|chan| ReplicaLink {
             chan,
             role: Some(Primary::new()),
         });
-        let mut engine = match cfg.mode {
-            CollectMode::Reactor => Some(Reactor::with_telemetry(cfg.tick, cfg.telemetry.clone())?),
-            CollectMode::PollSweep => None,
+        let mut reactor = Reactor::with_telemetry(cfg.tick, cfg.telemetry.clone())?;
+        reactor.set_ingress_budget(cfg.ingress_budget);
+        let metrics_bound = match &cfg.metrics_addr {
+            Some(addr) => Some(reactor.serve_metrics(addr)?),
+            None => None,
         };
-        if let Some(reactor) = engine.as_ref() {
-            reactor.set_ingress_budget(cfg.ingress_budget);
-        }
-        let metrics_bound = match (&cfg.metrics_addr, engine.as_mut()) {
-            (Some(addr), Some(reactor)) => Some(reactor.serve_metrics(addr)?),
-            (Some(_), None) => {
-                return Err(NetError::Protocol(
-                    "metrics endpoint needs the reactor engine (mode: Reactor)".into(),
-                ));
-            }
-            (None, _) => None,
-        };
-        // The compute plane publishes completions through the reactor's
-        // waker when there is one; under the sweep, completions queue
-        // and are drained in the idle slots.
-        let compute = (cfg.workers > 0)
-            .then(|| ComputePlane::new(cfg.workers, engine.as_ref().map(Reactor::waker)));
+        let compute = (cfg.workers > 0).then(|| ComputePlane::new(cfg.workers, reactor.waker()));
         let next_round = cfg.first_round;
         Ok(Session {
             acceptor,
             cfg,
-            engine,
+            reactor,
             compute,
             parked: BTreeMap::new(),
             next_round,
@@ -427,7 +411,7 @@ impl<'a> Session<'a> {
                 self.cfg.telemetry.now_ns(),
             );
         }
-        let reactor_base = self.engine.as_ref().map(|r| r.stats);
+        let reactor_base = self.reactor.stats;
         let metrics_base = self.cfg.telemetry.snapshot();
         let join_span = self.cfg.telemetry.span("session", "join", round, None);
         // Roster seating needs the sampled set up front to vet joins.
@@ -502,7 +486,6 @@ impl<'a> Session<'a> {
                 chunks: self.cfg.chunks,
                 chunk_compute: self.cfg.chunk_compute,
                 tick: self.cfg.tick,
-                mode: self.cfg.mode,
                 workers: self.cfg.workers,
                 telemetry: self.cfg.telemetry.clone(),
                 cohort,
@@ -511,7 +494,7 @@ impl<'a> Session<'a> {
             };
             let machine = RoundMachine::new(&cc)?;
             machine.run(
-                self.engine.as_mut(),
+                &mut self.reactor,
                 self.compute.as_mut(),
                 &mut round_peers,
                 &cc,
@@ -533,26 +516,19 @@ impl<'a> Session<'a> {
                 // Widen the machine's per-round reactor delta to cover
                 // the join phase too, and attach the round's metrics
                 // delta; cumulative reactor counters ride alongside.
-                let reactor_now = self.engine.as_ref().map(|r| r.stats);
-                report.reactor = match (reactor_now, reactor_base) {
-                    (Some(now), Some(base)) => Some(now.delta_since(base)),
-                    (now, _) => now,
-                };
+                let reactor_now = self.reactor.stats;
+                let mut own = reactor_now.delta_since(reactor_base);
                 // A sharded round's wake-up work happened on the shard
                 // reactors; add it to the session reactor's own delta
                 // (join phase + completion waiting) so `reactor` stays
                 // "everything this round cost", sharded or not.
                 if let Some(extra) = shard_reactor {
-                    report.reactor = Some(match report.reactor {
-                        Some(own) => ReactorStats {
-                            polls: own.polls + extra.polls,
-                            events: own.events + extra.events,
-                            timer_fires: own.timer_fires + extra.timer_fires,
-                        },
-                        None => extra,
-                    });
+                    own.polls += extra.polls;
+                    own.events += extra.events;
+                    own.timer_fires += extra.timer_fires;
                 }
-                report.reactor_session = reactor_now;
+                report.reactor = Some(own);
+                report.reactor_session = Some(reactor_now);
                 report.metrics = match (self.cfg.telemetry.snapshot(), &metrics_base) {
                     (Some(now), Some(base)) => Some(now.delta(base)),
                     _ => None,
@@ -613,7 +589,6 @@ impl<'a> Session<'a> {
                 chunks: self.cfg.chunks,
                 chunk_compute: self.cfg.chunk_compute,
                 tick: self.cfg.tick,
-                mode: self.cfg.mode,
                 workers: self.cfg.workers,
                 telemetry: self.cfg.telemetry.shard_scope(s as u16),
                 cohort,
@@ -631,7 +606,7 @@ impl<'a> Session<'a> {
             work.push((cc, peers));
         }
 
-        let waker = self.engine.as_ref().map(Reactor::waker);
+        let waker = self.reactor.waker();
         let results: Mutex<Vec<ShardSlot>> = Mutex::new((0..shards).map(|_| None).collect());
 
         std::thread::scope(|scope| -> Result<(), NetError> {
@@ -647,28 +622,23 @@ impl<'a> Session<'a> {
                         if let Ok(mut slots) = results.lock() {
                             slots[s] = Some((outcome, peers));
                         }
-                        if let Some(w) = &waker {
-                            w.wake(Token(SHARD_DONE_BASE + s as u64));
-                        }
+                        waker.wake(Token(SHARD_DONE_BASE + s as u64));
                     })
                     .map_err(|e| NetError::Io(format!("spawn shard {s}: {e}")))?;
             }
             // Keep the session reactor turning while the shards run, so
             // the scrape endpoint stays responsive mid-round; each
-            // shard's completion wake cuts the poll short. The sweep
-            // has no poller — there the scope's implicit join below is
-            // the barrier.
-            if let Some(reactor) = self.engine.as_mut() {
-                let (mut events, mut expired) = (Vec::new(), Vec::new());
-                loop {
-                    let done = results
-                        .lock()
-                        .map_or(shards, |slots| slots.iter().filter(|s| s.is_some()).count());
-                    if done == shards {
-                        break;
-                    }
-                    reactor.poll(&mut events, &mut expired, self.cfg.tick)?;
+            // shard's completion wake cuts the poll short.
+            let (mut events, mut expired) = (Vec::new(), Vec::new());
+            loop {
+                let done = results
+                    .lock()
+                    .map_or(shards, |slots| slots.iter().filter(|s| s.is_some()).count());
+                if done == shards {
+                    break;
                 }
+                self.reactor
+                    .poll(&mut events, &mut expired, self.cfg.tick)?;
             }
             Ok(())
         })?;
@@ -688,17 +658,7 @@ impl<'a> Session<'a> {
             // Re-home survivors on the session poller *before* any
             // error can propagate: a channel left unregistered would
             // stall the next round's join.
-            if let Some(reactor) = self.engine.as_mut() {
-                let ids: Vec<ClientId> = peers.keys().copied().collect();
-                for id in ids {
-                    let registered = peers
-                        .get_mut(&id)
-                        .is_some_and(|chan| chan.register(reactor, client_token(id)).is_ok());
-                    if !registered {
-                        peers.remove(&id);
-                    }
-                }
-            }
+            register_all(&mut self.reactor, &mut peers);
             round_peers.append(&mut peers);
             match result {
                 Ok(report) => reports.push(report),
@@ -723,19 +683,17 @@ impl<'a> Session<'a> {
         let mut dropouts = Vec::new();
         let mut chunks = 0;
         let mut stale_frames = 0;
-        let mut reactor: Option<ReactorStats> = None;
+        let mut reactor = ReactorStats::default();
         for report in reports {
             outcomes.push(report.outcome);
             merge_stats_into(&mut stats, report.stats);
             dropouts.extend(report.dropouts);
             chunks = report.chunks;
             stale_frames += report.stale_frames;
-            if let Some(delta) = report.reactor {
-                let acc = reactor.get_or_insert_with(ReactorStats::default);
-                acc.polls += delta.polls;
-                acc.events += delta.events;
-                acc.timer_fires += delta.timer_fires;
-            }
+            let delta = report.reactor.unwrap_or_default();
+            reactor.polls += delta.polls;
+            reactor.events += delta.events;
+            reactor.timer_fires += delta.timer_fires;
         }
         stats.aborted.sort_unstable();
         let outcome = merge_shard_outcomes(&params.clients, outcomes).map_err(NetError::SecAgg)?;
@@ -747,7 +705,7 @@ impl<'a> Session<'a> {
             dropouts,
             chunks,
             stale_frames,
-            reactor,
+            reactor: Some(reactor),
             reactor_session: None,
             metrics: None,
         })
@@ -828,10 +786,7 @@ impl<'a> Session<'a> {
             }
         }
 
-        match self.engine.is_some() {
-            true => self.join_reactor(round, roster, claims_mode, &mut answers, &mut stale)?,
-            false => self.join_sweep(round, roster, claims_mode, &mut answers, &mut stale)?,
-        }
+        self.join_window(round, roster, claims_mode, &mut answers, &mut stale)?;
         self.seen.extend(answers.keys().copied());
         Ok((answers, stale))
     }
@@ -859,7 +814,7 @@ impl<'a> Session<'a> {
     /// Reactor-driven join phase: parked peers' answers and provisional
     /// connections' first frames arrive as readiness events, so one slow
     /// joiner never serializes the others.
-    fn join_reactor(
+    fn join_window(
         &mut self,
         round: u64,
         roster: Option<&BTreeSet<ClientId>>,
@@ -906,9 +861,8 @@ impl<'a> Session<'a> {
                     Ok(mut chan) => {
                         let token = Token(self.next_provisional);
                         self.next_provisional += 1;
-                        let reactor = self.engine.as_mut().expect("reactor engine");
-                        chan.register(reactor, token)?;
-                        reactor.arm_deadline(
+                        chan.register(&mut self.reactor, token)?;
+                        self.reactor.arm_deadline(
                             token,
                             (Instant::now() + self.cfg.stage_timeout).min(deadline),
                         );
@@ -927,8 +881,8 @@ impl<'a> Session<'a> {
                     break;
                 }
             }
-            let reactor = self.engine.as_mut().expect("reactor engine");
-            reactor.poll(&mut events, &mut expired, self.cfg.tick)?;
+            self.reactor
+                .poll(&mut events, &mut expired, self.cfg.tick)?;
             for ev in &events {
                 if let Some(mut chan) = awaiting.remove(&ev.token.0) {
                     // Drain *through* stale frames: an eager `Join(0)`
@@ -953,16 +907,14 @@ impl<'a> Session<'a> {
                                 chan.recycle_frame(frame);
                                 match verdict {
                                     Verdict::Admit(id, answer) => {
-                                        let reactor = self.engine.as_mut().expect("reactor engine");
-                                        reactor.cancel_deadline(ev.token);
-                                        chan.register(reactor, client_token(id))?;
+                                        self.reactor.cancel_deadline(ev.token);
+                                        chan.register(&mut self.reactor, client_token(id))?;
                                         answers.insert(id, answer);
                                         self.parked.insert(id, chan);
                                         break;
                                     }
                                     Verdict::Reject(reply) => {
-                                        let reactor = self.engine.as_mut().expect("reactor engine");
-                                        reactor.cancel_deadline(ev.token);
+                                        self.reactor.cancel_deadline(ev.token);
                                         let _ = send_env(chan.as_mut(), &reply);
                                         let _ = chan.try_flush();
                                         break;
@@ -973,8 +925,7 @@ impl<'a> Session<'a> {
                                         // answer may be right behind.
                                     }
                                     Verdict::Discard => {
-                                        let reactor = self.engine.as_mut().expect("reactor engine");
-                                        reactor.cancel_deadline(ev.token);
+                                        self.reactor.cancel_deadline(ev.token);
                                         break;
                                     }
                                 }
@@ -986,8 +937,7 @@ impl<'a> Session<'a> {
                                 break;
                             }
                             Err(_) => {
-                                let reactor = self.engine.as_mut().expect("reactor engine");
-                                reactor.cancel_deadline(ev.token);
+                                self.reactor.cancel_deadline(ev.token);
                                 break;
                             }
                         }
@@ -1017,9 +967,7 @@ impl<'a> Session<'a> {
         // rejected peer hears *why* instead of hanging.
         let leftovers: Vec<(u64, Box<dyn EventedChannel>)> = awaiting.into_iter().collect();
         for (token, mut chan) in leftovers {
-            if let Some(reactor) = self.engine.as_mut() {
-                reactor.cancel_deadline(Token(token));
-            }
+            self.reactor.cancel_deadline(Token(token));
             // Drain through stale frames here too (see the loop above).
             while let Ok(Some(frame)) = chan.try_recv() {
                 let verdict = self.vet_first_frame(
@@ -1033,8 +981,7 @@ impl<'a> Session<'a> {
                 chan.recycle_frame(frame);
                 match verdict {
                     Verdict::Admit(id, answer) => {
-                        let reactor = self.engine.as_mut().expect("reactor engine");
-                        chan.register(reactor, client_token(id))?;
+                        chan.register(&mut self.reactor, client_token(id))?;
                         answers.insert(id, answer);
                         self.parked.insert(id, chan);
                         break;
@@ -1047,104 +994,6 @@ impl<'a> Session<'a> {
                     Verdict::Stale => {
                         *stale += 1;
                         continue;
-                    }
-                    Verdict::Discard => break,
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Sweep-driven join phase: parked peers are polled in tick slices
-    /// between accepts; each provisional connection's first frame is
-    /// read with a blocking deadline (the legacy behaviour the
-    /// `reactor_scale` bench measures against).
-    fn join_sweep(
-        &mut self,
-        round: u64,
-        roster: Option<&BTreeSet<ClientId>>,
-        claims_mode: bool,
-        answers: &mut BTreeMap<ClientId, Answer>,
-        stale: &mut u64,
-    ) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.cfg.join_timeout;
-        while !self.join_complete(roster, answers) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            // Service parked peers that have not answered yet.
-            let waiting: Vec<ClientId> = self
-                .parked
-                .keys()
-                .copied()
-                .filter(|id| !answers.contains_key(id))
-                .collect();
-            for id in &waiting {
-                let Some(chan) = self.parked.get_mut(id) else {
-                    continue;
-                };
-                let slice = (Instant::now() + self.cfg.tick).min(deadline);
-                match chan.recv_deadline(slice) {
-                    Ok(frame) => {
-                        self.file_parked_frame(round, *id, &frame, answers, stale);
-                        if let Some(chan) = self.parked.get_mut(id) {
-                            chan.recycle_frame(frame);
-                        }
-                    }
-                    Err(NetError::Timeout) => {}
-                    Err(_) => {
-                        self.parked.remove(id);
-                    }
-                }
-            }
-            // Accept: block the full window only when nothing else needs
-            // service (the legacy single-round behaviour); otherwise one
-            // tick.
-            let accept_deadline = if waiting.is_empty() && !self.cfg.announce {
-                deadline
-            } else {
-                (Instant::now() + self.cfg.tick).min(deadline)
-            };
-            let mut chan = match self.acceptor.accept(accept_deadline) {
-                Ok(c) => c,
-                Err(NetError::Timeout) => continue,
-                Err(e) => return Err(e),
-            };
-            if self.cfg.announce && chan.send(&announce_frame(round, claims_mode)).is_err() {
-                continue;
-            }
-            // The first frame must arrive promptly once connected.
-            let first_deadline = Instant::now()
-                + self
-                    .cfg
-                    .stage_timeout
-                    .min(deadline.saturating_duration_since(Instant::now()));
-            loop {
-                match self.vet_first_frame(
-                    recv_env(chan.as_mut(), first_deadline),
-                    round,
-                    roster,
-                    claims_mode,
-                    answers,
-                    stale,
-                ) {
-                    Verdict::Admit(id, answer) => {
-                        answers.insert(id, answer);
-                        self.parked.insert(id, chan);
-                        break;
-                    }
-                    Verdict::Reject(reply) => {
-                        let _ = send_env(chan.as_mut(), &reply);
-                        break;
-                    }
-                    Verdict::Stale => {
-                        *stale += 1;
-                        if Instant::now() >= first_deadline {
-                            break;
-                        }
-                        // Keep reading: the current-round frame may be
-                        // right behind the stale one.
                     }
                     Verdict::Discard => break,
                 }
@@ -1338,11 +1187,8 @@ impl<'a> Session<'a> {
 
     /// Probes whether `id`'s parked channel is still alive. Any
     /// buffered frame the probe consumes is re-filed (it may be the
-    /// peer's answer for this round), never discarded. Only the reactor
-    /// engine probes: its channels are registered (non-blocking); sweep
-    /// channels may still be in blocking mode, and the sweep's
-    /// `recv_deadline` pass culls dead parked channels itself, so a
-    /// still-present one is treated as live.
+    /// peer's answer for this round), never discarded. Parked channels
+    /// are registered (non-blocking), so the probe never waits.
     fn parked_alive(
         &mut self,
         round: u64,
@@ -1350,9 +1196,6 @@ impl<'a> Session<'a> {
         answers: &mut BTreeMap<ClientId, Answer>,
         stale: &mut u64,
     ) -> bool {
-        if self.engine.is_none() {
-            return true;
-        }
         loop {
             match self.parked.get_mut(&id).map(|c| c.try_recv()) {
                 Some(Ok(Some(frame))) => {
@@ -1449,9 +1292,8 @@ fn shard_params(union: &RoundParams, roster: &[ClientId]) -> RoundParams {
     }
 }
 
-/// One shard's round, on the shard's thread: a fresh engine (its own
-/// reactor under [`CollectMode::Reactor`]; the sweep needs none), a
-/// fresh compute plane when workers are configured, and a fresh
+/// One shard's round, on the shard's thread: a fresh reactor, a fresh
+/// compute plane when workers are configured, and a fresh
 /// [`RoundMachine`] over the shard roster. Channels arrive deregistered
 /// and leave deregistered — the session re-homes survivors on its own
 /// poller afterwards.
@@ -1460,32 +1302,22 @@ fn run_one_shard(
     peers: &mut Peers,
     payload: &[u8],
 ) -> Result<NetRoundReport, NetError> {
-    let mut engine = match cc.mode {
-        CollectMode::Reactor => Some(Reactor::with_telemetry(cc.tick, cc.telemetry.clone())?),
-        CollectMode::PollSweep => None,
-    };
-    if let Some(reactor) = engine.as_ref() {
-        reactor.set_ingress_budget(cc.ingress_budget);
-    }
-    let mut compute = (cc.workers > 0)
-        .then(|| ComputePlane::new(cc.workers, engine.as_ref().map(Reactor::waker)));
-    if let Some(reactor) = engine.as_mut() {
-        let ids: Vec<ClientId> = peers.keys().copied().collect();
-        for id in ids {
-            let registered = peers
-                .get_mut(&id)
-                .is_some_and(|chan| chan.register(reactor, client_token(id)).is_ok());
-            if !registered {
-                peers.remove(&id);
-            }
-        }
-    }
+    let mut reactor = Reactor::with_telemetry(cc.tick, cc.telemetry.clone())?;
+    reactor.set_ingress_budget(cc.ingress_budget);
+    let mut compute = (cc.workers > 0).then(|| ComputePlane::new(cc.workers, reactor.waker()));
+    register_all(&mut reactor, peers);
     let machine = RoundMachine::new(cc)?;
-    let result = machine.run(engine.as_mut(), compute.as_mut(), peers, cc, payload);
+    let result = machine.run(&mut reactor, compute.as_mut(), peers, cc, payload);
     for chan in peers.values_mut() {
         let _ = chan.deregister();
     }
     result
+}
+
+/// Registers every channel in `peers` on `reactor` under its client
+/// token; a channel that cannot register is dropped.
+fn register_all(reactor: &mut Reactor, peers: &mut Peers) {
+    peers.retain(|&id, chan| chan.register(reactor, client_token(id)).is_ok());
 }
 
 /// Folds one shard's per-stage traffic into the union report's: totals

@@ -3,9 +3,9 @@
 //! in-memory loopback implementation used by tests and the in-process
 //! networked round.
 //!
-//! Every accepted channel is an [`EventedChannel`], so the coordinator
-//! can drive it either through the blocking [`Channel`] API (the legacy
-//! poll sweep) or through reactor readiness. The loopback transport has
+//! Every accepted channel is an [`EventedChannel`]: the coordinator
+//! registers it with the reactor and drives it through readiness, while
+//! clients keep the blocking [`Channel`] API. The loopback transport has
 //! no file descriptor; its readiness travels through the reactor's
 //! [`WakeQueue`](crate::reactor::WakeQueue) — a sender publishes the
 //! receiving end's token and pokes the wake pipe.

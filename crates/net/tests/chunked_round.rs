@@ -10,9 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dordis_net::coordinator::{
-    run_coordinator, CollectMode, CoordinatorConfig, DropKind, NetRoundReport,
-};
+use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind, NetRoundReport};
 use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{ClientInput, Identity};
@@ -22,7 +20,7 @@ use dordis_secagg::server::RoundOutcome;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 
 mod common;
-use common::ENGINES;
+use common::WORKERS;
 
 const BITS: u32 = 16;
 const DIM: usize = 48;
@@ -87,7 +85,7 @@ fn net_round(
     fails: &BTreeMap<ClientId, FailPoint>,
     chunks: usize,
     stage_timeout: Duration,
-    (mode, workers): (CollectMode, usize),
+    workers: usize,
 ) -> NetRoundReport {
     let (hub, mut acceptor) = LoopbackHub::new();
     let registry: Option<Arc<BTreeMap<ClientId, _>>> =
@@ -139,7 +137,6 @@ fn net_round(
             chunks,
             None,
         )
-        .with_mode(mode)
         .with_workers(workers),
     )
     .expect("coordinator");
@@ -166,29 +163,31 @@ fn assert_equivalent(driver: &RoundOutcome, net: &NetRoundReport) {
 
 #[test]
 fn chunked_rounds_match_unchunked_driver_across_m() {
-    // m ∈ {1, 4, 8} × both collection engines: the realized per-chunk
-    // wire/aggregation path must reproduce the unchunked driver bit for
-    // bit (XNoise bookkeeping included — every client carries noise
-    // seeds here), whether frames are discovered by reactor readiness
-    // or by the legacy poll sweep.
+    // m ∈ {1, 4, 8} × serial and pooled unmasking: the realized
+    // per-chunk wire/aggregation path must reproduce the unchunked
+    // driver bit for bit (XNoise bookkeeping included — every client
+    // carries noise seeds here).
     let p = params(8, 5, 2);
     let ins = inputs(8, 2);
     let d = driver_round(&p, &ins, &[]);
-    for mode in ENGINES {
+    for workers in WORKERS {
         for m in [1usize, 4, 8] {
-            let n = net_round(&p, &ins, &BTreeMap::new(), m, Duration::from_secs(5), mode);
+            let n = net_round(
+                &p,
+                &ins,
+                &BTreeMap::new(),
+                m,
+                Duration::from_secs(5),
+                workers,
+            );
             assert_equivalent(&d, &n);
             assert!(
                 n.chunks >= 1 && n.chunks <= m,
                 "realized {} of {m}",
                 n.chunks
             );
-            assert!(n.dropouts.is_empty(), "{mode:?} m={m}: {:?}", n.dropouts);
-            assert_eq!(
-                n.reactor.is_some(),
-                mode.0 == CollectMode::Reactor,
-                "stats reported by the wrong engine"
-            );
+            assert!(n.dropouts.is_empty(), "{workers}w m={m}: {:?}", n.dropouts);
+            assert!(n.reactor.is_some(), "{workers}w m={m}: no reactor stats");
         }
     }
 }
@@ -210,8 +209,8 @@ fn midstream_disconnect_is_a_detected_chunk_dropout() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &[(2, DropStage::BeforeMaskedInput)]);
-    for mode in ENGINES {
-        let n = net_round(&p, &ins, &fails, 4, Duration::from_secs(5), mode);
+    for workers in WORKERS {
+        let n = net_round(&p, &ins, &fails, 4, Duration::from_secs(5), workers);
         assert_equivalent(&d, &n);
         assert_eq!(n.outcome.dropped, vec![2]);
         let det = n
@@ -224,7 +223,7 @@ fn midstream_disconnect_is_a_detected_chunk_dropout() {
         assert_eq!(
             det.chunk,
             Some(2),
-            "{mode:?}: detected at the chunk the stream died"
+            "{workers}w: detected at the chunk the stream died"
         );
     }
 }
@@ -245,15 +244,15 @@ fn midstream_silence_hits_the_per_chunk_deadline() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &[(3, DropStage::BeforeMaskedInput)]);
-    for mode in ENGINES {
-        let n = net_round(&p, &ins, &fails, 4, Duration::from_millis(700), mode);
+    for workers in WORKERS {
+        let n = net_round(&p, &ins, &fails, 4, Duration::from_millis(700), workers);
         assert_equivalent(&d, &n);
         let det = n
             .dropouts
             .iter()
             .find(|x| x.client == 3)
             .expect("client 3 detected");
-        assert_eq!(det.kind, DropKind::DeadlineMissed, "{mode:?}");
+        assert_eq!(det.kind, DropKind::DeadlineMissed, "{workers}w");
         assert_eq!(det.stage, "MaskedInputCollection");
         assert_eq!(det.chunk, Some(1));
     }
@@ -276,8 +275,8 @@ fn chunked_xnoise_recovery_with_unmasking_dropout() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &[(4, DropStage::BeforeUnmasking)]);
-    for mode in ENGINES {
-        let n = net_round(&p, &ins, &fails, 4, Duration::from_secs(5), mode);
+    for workers in WORKERS {
+        let n = net_round(&p, &ins, &fails, 4, Duration::from_secs(5), workers);
         assert_equivalent(&d, &n);
         // Client 4 is in U3 (its chunks all arrived) but not in U5.
         assert!(n.outcome.survivors.contains(&4));

@@ -492,3 +492,186 @@ mod chunked_frame_props {
         }
     }
 }
+
+/// Decoders face bytes from unauthenticated peers: whatever arrives,
+/// every public decoder must answer `Ok` or `Err`, never panic.
+mod hostile_bytes {
+    use super::*;
+    use dordis_net::codec::{
+        decode_announce, decode_join_claim, encode_announce, encode_join_claim,
+    };
+    use dordis_net::replication::SessionCheckpoint;
+    use dordis_secagg::messages::ShareBundle;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn params() -> RoundParams {
+        RoundParams {
+            round: 4,
+            clients: (0..6).collect(),
+            threshold: 4,
+            bit_width: 20,
+            vector_len: 64,
+            noise_components: 2,
+            threat_model: ThreatModel::Malicious,
+            graph: MaskingGraph::Harary { half_degree: 2 },
+        }
+    }
+
+    /// One valid encoding per decoder, the seeds for mutation.
+    fn valid_bodies() -> Vec<Vec<u8>> {
+        let masked = MaskedInput {
+            client: 3,
+            vector: (0..8).map(|i| (i * 4099) & 0xffff).collect(),
+            bit_width: 16,
+        };
+        let shares = vec![
+            EncryptedShares {
+                from: 1,
+                to: 2,
+                ciphertext: vec![5; 40],
+            },
+            EncryptedShares {
+                from: 1,
+                to: 3,
+                ciphertext: vec![6; 12],
+            },
+        ];
+        vec![
+            AdvertisedKeys {
+                client: 2,
+                c_pk: [1; 32],
+                s_pk: [2; 32],
+                signature: Some(Signature([3; 64])),
+            }
+            .encoded(),
+            shares[0].encoded(),
+            encode_list(&shares),
+            masked.encoded(),
+            ConsistencySignature {
+                client: 5,
+                signature: Signature([9; 64]),
+            }
+            .encoded(),
+            UnmaskingResponse {
+                client: 7,
+                sk_shares: vec![(1, share(2, 32))],
+                b_shares: vec![(2, share(3, 32))],
+                own_seeds: vec![(2, [0xcd; 32])],
+            }
+            .encoded(),
+            NoiseShareResponse {
+                client: 4,
+                seed_shares: vec![(1, 1, share(5, 32))],
+            }
+            .encoded(),
+            IdList(vec![0, 1, 5]).encoded(),
+            encode_list(&[IdList(vec![1]), IdList(vec![2, 3])]),
+            encode_join(9),
+            encode_join_claim(9, &[7; 20]),
+            encode_announce(true),
+            encode_params(&params()),
+            encode_setup(&params(), 4, 6, &[1, 2, 3]),
+            encode_signature_list(&[(1, Signature([4; 64]))]),
+            SessionCheckpoint {
+                round: 3,
+                rounds_done: 2,
+                view: 1,
+                parked: vec![0, 2, 4],
+                app_state: vec![8; 16],
+            }
+            .encode(),
+            ShareBundle {
+                from: 1,
+                to: 2,
+                sk_share: share(1, 32),
+                b_share: share(1, 32),
+                seed_shares: vec![share(1, 32), share(1, 32)],
+            }
+            .encode(),
+        ]
+    }
+
+    /// Feeds `bytes` to every public decoder, both as a message body
+    /// and as a whole frame. Results are discarded: the property is
+    /// that each call returns at all.
+    fn feed_every_decoder(bytes: &[u8]) {
+        let _ = Envelope::decode(bytes);
+        let _ = EnvelopeView::decode(bytes);
+        let _ = decode_advertised_keys(bytes);
+        let _ = decode_encrypted_shares(bytes);
+        // The coordinator supplies width and length from its own chunk
+        // plan; sweep a few realistic shapes, including the 64-bit edge.
+        for (bits, len) in [(1, 0), (1, 13), (16, 8), (20, 64), (63, 3), (64, 2)] {
+            let _ = decode_masked_input(bytes, bits, len, ctx());
+        }
+        let _ = decode_consistency_signature(bytes);
+        let _ = decode_unmasking_response(bytes);
+        let _ = decode_noise_share_response(bytes);
+        let _ = decode_id_list(bytes);
+        let _ = decode_list(bytes, decode_encrypted_shares);
+        let _ = decode_list(bytes, decode_id_list);
+        let _ = decode_join(bytes);
+        let _ = decode_join_claim(bytes);
+        let _ = decode_announce(bytes);
+        let _ = decode_params(bytes).map(|p| p.validate());
+        let _ = decode_setup(bytes).map(|(p, ..)| p.validate());
+        let _ = decode_signature_list(bytes);
+        let _ = decode_abort(bytes);
+        let _ = SessionCheckpoint::decode(bytes);
+        let _ = ShareBundle::decode(bytes);
+    }
+
+    /// `bytes` as a body, plus wrapped in a current-version envelope so
+    /// the envelope path reaches the body decoders too.
+    fn feed_body_and_frame(bytes: &[u8]) {
+        feed_every_decoder(bytes);
+        let frame = Envelope::chunked(StageTag::MaskedInput, 7, 1, bytes.to_vec()).encode();
+        feed_every_decoder(&frame);
+        if let Ok(view) = EnvelopeView::decode(&frame) {
+            feed_every_decoder(view.body);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, arbitrary length.
+        #[test]
+        fn prop_decoders_never_panic_on_arbitrary_bytes(bytes in vec(any::<u8>(), 0..600)) {
+            feed_body_and_frame(&bytes);
+        }
+
+        /// Valid encodings with one byte overwritten and the tail
+        /// optionally cut — the inputs that reach deepest into each
+        /// decoder before something stops adding up.
+        #[test]
+        fn prop_decoders_never_panic_on_corrupted_valid_bodies(
+            which in 0usize..64,
+            at in 0usize..4096,
+            byte in any::<u8>(),
+            cut in 0usize..4096,
+            truncate in any::<bool>(),
+        ) {
+            let bodies = valid_bodies();
+            let mut bytes = bodies[which % bodies.len()].clone();
+            if !bytes.is_empty() {
+                let i = at % bytes.len();
+                bytes[i] = byte;
+            }
+            if truncate {
+                bytes.truncate(cut % (bytes.len() + 1));
+            }
+            feed_body_and_frame(&bytes);
+            // Corrupt the envelope header of a valid frame as well.
+            let mut frame = Envelope::new(StageTag::Setup, 2, bodies[which % bodies.len()].clone())
+                .encode();
+            let j = at % frame.len();
+            frame[j] = byte;
+            if truncate {
+                frame.truncate(cut % (frame.len() + 1));
+            }
+            feed_every_decoder(&frame);
+        }
+    }
+}

@@ -1,14 +1,7 @@
 //! Shared helpers for the dordis-net integration suites.
 
-use dordis_net::coordinator::CollectMode;
-
-/// The engine grid every equivalence suite runs under: both collection
-/// modes × serial and pooled unmasking. All four must produce
-/// bit-equal rounds; editing this one const widens (or narrows) every
-/// suite together.
-pub const ENGINES: [(CollectMode, usize); 4] = [
-    (CollectMode::Reactor, 0),
-    (CollectMode::Reactor, 2),
-    (CollectMode::PollSweep, 0),
-    (CollectMode::PollSweep, 2),
-];
+/// The compute-plane worker counts every equivalence suite runs under:
+/// serial (`0`) and pooled (`2`) unmasking. Both must produce bit-equal
+/// rounds; editing this one const widens (or narrows) every suite
+/// together.
+pub const WORKERS: [usize; 2] = [0, 2];

@@ -10,9 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dordis_net::coordinator::{
-    run_coordinator, CollectMode, CoordinatorConfig, DropKind, NetRoundReport,
-};
+use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind, NetRoundReport};
 use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{ClientInput, Identity};
@@ -22,7 +20,7 @@ use dordis_secagg::server::RoundOutcome;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 
 mod common;
-use common::ENGINES;
+use common::WORKERS;
 
 const BITS: u32 = 16;
 const DIM: usize = 12;
@@ -83,7 +81,6 @@ fn net_round(
     inputs: &BTreeMap<ClientId, ClientInput>,
     fails: &BTreeMap<ClientId, FailPoint>,
     stage_timeout: Duration,
-    mode: CollectMode,
     workers: usize,
 ) -> NetRoundReport {
     let (hub, mut acceptor) = LoopbackHub::new();
@@ -131,7 +128,6 @@ fn net_round(
     let report = run_coordinator(
         &mut acceptor,
         &CoordinatorConfig::single(params.clone(), Duration::from_secs(10), stage_timeout)
-            .with_mode(mode)
             .with_workers(workers),
     )
     .expect("coordinator");
@@ -178,19 +174,12 @@ fn equivalent_no_dropout_xnoise_round() {
     let p = params(8, 5, MaskingGraph::Complete, ThreatModel::SemiHonest);
     let ins = inputs(8);
     let d = driver_round(&p, &ins, &[]);
-    for (mode, workers) in ENGINES {
-        let n = net_round(
-            &p,
-            &ins,
-            &BTreeMap::new(),
-            Duration::from_secs(5),
-            mode,
-            workers,
-        );
+    for workers in WORKERS {
+        let n = net_round(&p, &ins, &BTreeMap::new(), Duration::from_secs(5), workers);
         assert_equivalent(&d, &n);
         assert_eq!(d.sum, expected_sum(&ins, &d.survivors));
         assert_eq!(n.outcome.survivors.len(), 8);
-        assert!(n.dropouts.is_empty(), "{mode:?}: {:?}", n.dropouts);
+        assert!(n.dropouts.is_empty(), "{workers}w: {:?}", n.dropouts);
         // Every survivor's seeds for components 1..=2 were recovered.
         assert_eq!(sorted_seeds(&n.outcome).len(), 16);
     }
@@ -217,8 +206,8 @@ fn equivalent_with_disconnect_dropouts() {
         })
         .collect();
     let d = driver_round(&p, &ins, &drops);
-    for (mode, workers) in ENGINES {
-        let n = net_round(&p, &ins, &fails, Duration::from_secs(5), mode, workers);
+    for workers in WORKERS {
+        let n = net_round(&p, &ins, &fails, Duration::from_secs(5), workers);
         assert_equivalent(&d, &n);
         assert_eq!(n.outcome.dropped, vec![2, 6]);
         assert!(n
@@ -243,8 +232,8 @@ fn equivalent_secagg_plus_sparse_graph() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &drops);
-    for (mode, workers) in ENGINES {
-        let n = net_round(&p, &ins, &fails, Duration::from_secs(5), mode, workers);
+    for workers in WORKERS {
+        let n = net_round(&p, &ins, &fails, Duration::from_secs(5), workers);
         assert_equivalent(&d, &n);
     }
 }
@@ -264,8 +253,8 @@ fn equivalent_malicious_model_round() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &drops);
-    for (mode, workers) in ENGINES {
-        let n = net_round(&p, &ins, &fails, Duration::from_secs(5), mode, workers);
+    for workers in WORKERS {
+        let n = net_round(&p, &ins, &fails, Duration::from_secs(5), workers);
         assert_equivalent(&d, &n);
         assert!(n.stats.stage("ConsistencyCheck").is_some());
     }
@@ -287,15 +276,15 @@ fn silent_client_detected_by_stage_deadline() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &[(3, DropStage::BeforeMaskedInput)]);
-    for (mode, workers) in ENGINES {
-        let n = net_round(&p, &ins, &fails, Duration::from_millis(900), mode, workers);
+    for workers in WORKERS {
+        let n = net_round(&p, &ins, &fails, Duration::from_millis(900), workers);
         assert_equivalent(&d, &n);
         let detection = n
             .dropouts
             .iter()
             .find(|x| x.client == 3)
             .expect("client 3 detected");
-        assert_eq!(detection.kind, DropKind::DeadlineMissed, "{mode:?}");
+        assert_eq!(detection.kind, DropKind::DeadlineMissed, "{workers}w");
         assert_eq!(detection.stage, "MaskedInputCollection");
     }
 }

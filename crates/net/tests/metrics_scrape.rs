@@ -167,7 +167,7 @@ fn live_scrape_mid_round_with_full_trace_coverage() {
         .last()
         .expect("reports")
         .reactor_session
-        .expect("reactor engine");
+        .expect("cumulative reactor stats");
     assert!(
         stats.polls <= stats.events + stats.timer_fires + 64,
         "polls {} outgrew events {} + timer fires {}",

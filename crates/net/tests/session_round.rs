@@ -27,7 +27,7 @@ use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 use dordis_telemetry::Telemetry;
 
 mod common;
-use common::ENGINES;
+use common::WORKERS;
 
 const BITS: u32 = 16;
 const DIM: usize = 16;
@@ -84,7 +84,6 @@ fn driver_round(round: u64, drops: &[ClientId]) -> RoundOutcome {
 /// (it reconnects and re-joins the next round).
 fn run_session(
     rounds: u64,
-    mode: CollectMode,
     workers: usize,
     dropper: impl Fn(u64) -> Option<(ClientId, u16)> + Send + Sync + 'static,
 ) -> Vec<NetRoundReport> {
@@ -140,7 +139,7 @@ fn run_session(
         chunks: CHUNKS,
         chunk_compute: None,
         tick: CoordinatorConfig::DEFAULT_TICK,
-        mode,
+        mode: CollectMode::Reactor,
         workers,
         shards: 1,
         ingress_budget: 0,
@@ -148,7 +147,7 @@ fn run_session(
         population: (0..N).collect(),
         seating: Seating::Roster,
         params_for: Box::new(|round, _| params_for_round(round)),
-        // Enabled so every engine combination exercises the span /
+        // Enabled so every worker count exercises the span /
         // metrics probes alongside the protocol itself.
         telemetry: Telemetry::enabled(),
         metrics_addr: None,
@@ -169,25 +168,22 @@ fn run_session(
 
 #[test]
 fn multi_round_session_matches_per_round_driver() {
-    // Both collection engines × serial and pooled unmasking: all four
-    // must stay bit-equal to the in-memory driver.
-    for (mode, workers) in ENGINES {
-        let reports = run_session(3, mode, workers, |_| None);
+    // Serial and pooled unmasking must both stay bit-equal to the
+    // in-memory driver.
+    for workers in WORKERS {
+        let reports = run_session(3, workers, |_| None);
         assert_eq!(reports.len(), 3);
         for (i, report) in reports.iter().enumerate() {
             let round = i as u64 + 1;
             // The round counter comes from the session, not a config
             // constant.
-            assert_eq!(report.round, round, "{mode:?}");
+            assert_eq!(report.round, round, "stale-frame round");
             let mem = driver_round(round, &[]);
-            assert_eq!(
-                report.outcome.sum, mem.sum,
-                "{mode:?}/{workers}w round {round}"
-            );
+            assert_eq!(report.outcome.sum, mem.sum, "{workers}w round {round}");
             assert_eq!(report.outcome.survivors, mem.survivors);
             assert!(
                 report.dropouts.is_empty(),
-                "{mode:?}: {:?}",
+                "{workers}w: {:?}",
                 report.dropouts
             );
         }
@@ -203,32 +199,30 @@ fn multi_round_session_matches_per_round_driver() {
             assert!(
                 m.get("dordis_frame_bytes_total{direction=\"in\",stage=\"MaskedInputCollection\"}")
                     > 0,
-                "{mode:?}/{workers}w round {}: no uplink bytes in the delta",
+                "{workers}w round {}: no uplink bytes in the delta",
                 report.round
             );
             assert!(
                 m.get("dordis_unmask_job_duration_ns::count") >= report.chunks as u64,
-                "{mode:?}/{workers}w round {}: unmask jobs missing from the delta",
+                "{workers}w round {}: unmask jobs missing from the delta",
                 report.round
             );
         }
         // The reactor counters in the report are per-round deltas; the
         // session-cumulative view rides alongside and must dominate
         // their sum.
-        if matches!(mode, CollectMode::Reactor) {
-            let cumulative = reports.last().unwrap().reactor_session.expect("cumulative");
-            let mut summed = 0u64;
-            for report in &reports {
-                let delta = report.reactor.expect("per-round delta");
-                assert!(delta.polls > 0, "{mode:?} round {}", report.round);
-                summed += delta.polls;
-            }
-            assert!(
-                summed <= cumulative.polls,
-                "{mode:?}: per-round deltas ({summed}) exceed the cumulative count ({})",
-                cumulative.polls
-            );
+        let cumulative = reports.last().unwrap().reactor_session.expect("cumulative");
+        let mut summed = 0u64;
+        for report in &reports {
+            let delta = report.reactor.expect("per-round delta");
+            assert!(delta.polls > 0, "{workers}w round {}", report.round);
+            summed += delta.polls;
         }
+        assert!(
+            summed <= cumulative.polls,
+            "{workers}w: per-round deltas ({summed}) exceed the cumulative count ({})",
+            cumulative.polls
+        );
     }
 }
 
@@ -238,12 +232,12 @@ fn dropout_then_rejoin_completes_next_round() {
     // frames), reconnects, and completes rounds 2 and 3. Pooled
     // unmasking must survive the dropout-recovery path too (that is
     // where the pairwise re-expansion jobs come from).
-    for (mode, workers) in ENGINES {
-        let reports = run_session(3, mode, workers, |r| (r == 1).then_some((3, 1)));
+    for workers in WORKERS {
+        let reports = run_session(3, workers, |r| (r == 1).then_some((3, 1)));
 
         let r1 = &reports[0];
-        assert!(!r1.outcome.survivors.contains(&3), "{mode:?}");
-        assert_eq!(r1.outcome.dropped, vec![3], "{mode:?}");
+        assert!(!r1.outcome.survivors.contains(&3), "stale-frame round");
+        assert_eq!(r1.outcome.dropped, vec![3], "stale-frame round");
         let detected = r1
             .dropouts
             .iter()
@@ -252,7 +246,7 @@ fn dropout_then_rejoin_completes_next_round() {
         assert_eq!(detected.stage, "MaskedInputCollection");
         assert_eq!(detected.kind, DropKind::Disconnected);
         let mem1 = driver_round(1, &[3]);
-        assert_eq!(r1.outcome.sum, mem1.sum, "{mode:?} dropout round");
+        assert_eq!(r1.outcome.sum, mem1.sum, "{workers}w dropout round");
         assert_eq!(r1.outcome.survivors, mem1.survivors);
 
         // Rejoined over a fresh connection: full cohort again, bit-equal
@@ -261,10 +255,10 @@ fn dropout_then_rejoin_completes_next_round() {
             let round = i as u64 + 1;
             assert!(
                 report.outcome.survivors.contains(&3),
-                "{mode:?}: client 3 did not rejoin round {round}"
+                "{workers}w: client 3 did not rejoin round {round}"
             );
             let mem = driver_round(round, &[]);
-            assert_eq!(report.outcome.sum, mem.sum, "{mode:?} round {round}");
+            assert_eq!(report.outcome.sum, mem.sum, "{workers}w round {round}");
         }
     }
 }
@@ -488,55 +482,48 @@ impl Channel for StaleInjector {
 
 #[test]
 fn coordinator_discards_stale_frames_without_dropping_the_peer() {
-    for mode in [CollectMode::Reactor, CollectMode::PollSweep] {
-        let (hub, mut acceptor) = LoopbackHub::new();
-        let injected = Arc::new(AtomicU32::new(0));
-        let mut handles = Vec::new();
-        for id in 0..N {
-            let hub = hub.clone();
-            let injected = Arc::clone(&injected);
-            handles.push(std::thread::spawn(move || {
-                let inner = hub.connect(&format!("c{id}")).expect("connect");
-                let opts = ClientOptions {
-                    id,
-                    rng_seed: SEED,
-                    fail: None,
-                    recv_timeout: Duration::from_secs(20),
-                    silent_linger: Duration::from_secs(1),
-                };
-                if id == 2 {
-                    let mut chan = StaleInjector { inner, injected };
-                    run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
-                } else {
-                    let mut chan = inner;
-                    run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
-                }
-            }));
-        }
-        let report = run_coordinator(
-            &mut acceptor,
-            &CoordinatorConfig::new(
-                params_for_round(5),
-                Duration::from_secs(10),
-                Duration::from_secs(10),
-                1,
-                None,
-            )
-            .with_mode(mode),
-        )
-        .expect("round");
-        for h in handles {
-            let outcome = h.join().expect("client thread").expect("client run");
-            assert!(matches!(outcome, ClientRunOutcome::Finished { .. }));
-        }
-        assert_eq!(report.stale_frames, 1, "{mode:?}");
-        assert!(
-            report.dropouts.is_empty(),
-            "{mode:?}: {:?}",
-            report.dropouts
-        );
-        let mem = driver_round(5, &[]);
-        assert_eq!(report.outcome.sum, mem.sum, "{mode:?}");
-        assert_eq!(report.outcome.survivors, mem.survivors, "{mode:?}");
+    let (hub, mut acceptor) = LoopbackHub::new();
+    let injected = Arc::new(AtomicU32::new(0));
+    let mut handles = Vec::new();
+    for id in 0..N {
+        let hub = hub.clone();
+        let injected = Arc::clone(&injected);
+        handles.push(std::thread::spawn(move || {
+            let inner = hub.connect(&format!("c{id}")).expect("connect");
+            let opts = ClientOptions {
+                id,
+                rng_seed: SEED,
+                fail: None,
+                recv_timeout: Duration::from_secs(20),
+                silent_linger: Duration::from_secs(1),
+            };
+            if id == 2 {
+                let mut chan = StaleInjector { inner, injected };
+                run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
+            } else {
+                let mut chan = inner;
+                run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
+            }
+        }));
     }
+    let report = run_coordinator(
+        &mut acceptor,
+        &CoordinatorConfig::new(
+            params_for_round(5),
+            Duration::from_secs(10),
+            Duration::from_secs(10),
+            1,
+            None,
+        ),
+    )
+    .expect("round");
+    for h in handles {
+        let outcome = h.join().expect("client thread").expect("client run");
+        assert!(matches!(outcome, ClientRunOutcome::Finished { .. }));
+    }
+    assert_eq!(report.stale_frames, 1);
+    assert!(report.dropouts.is_empty(), "{:?}", report.dropouts);
+    let mem = driver_round(5, &[]);
+    assert_eq!(report.outcome.sum, mem.sum);
+    assert_eq!(report.outcome.survivors, mem.survivors);
 }

@@ -1,8 +1,8 @@
 //! Sharded-session equivalence: partitioning the cohort across
 //! parallel aggregation shards must stay bit-equal to the unsharded
-//! in-memory driver for `S ∈ {1, 2, 4}` across the full engine grid —
-//! including XNoise rounds, mid-stream dropout with rejoin, and
-//! stale-round frames.
+//! in-memory driver for `S ∈ {1, 2, 4}` under serial and pooled
+//! unmasking — including XNoise rounds, mid-stream dropout with rejoin,
+//! and stale-round frames.
 //!
 //! Removal seeds are the one field that legitimately differs: each
 //! shard recovers the range `(shard_dropped + 1)..=T`, a superset of
@@ -34,7 +34,7 @@ use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 use dordis_telemetry::Telemetry;
 
 mod common;
-use common::ENGINES;
+use common::WORKERS;
 
 const BITS: u32 = 16;
 const DIM: usize = 16;
@@ -116,7 +116,6 @@ fn seeds_in_union_range(
 /// that round (it reconnects and re-joins the next round).
 fn run_sharded_session(
     rounds: u64,
-    mode: CollectMode,
     workers: usize,
     shards: usize,
     noise: bool,
@@ -172,7 +171,7 @@ fn run_sharded_session(
         chunks: CHUNKS,
         chunk_compute: None,
         tick: CoordinatorConfig::DEFAULT_TICK,
-        mode,
+        mode: CollectMode::Reactor,
         workers,
         shards,
         ingress_budget: 0,
@@ -230,16 +229,16 @@ fn partition_keeps_every_shard_viable() {
 
 #[test]
 fn shard_grid_matches_unsharded_driver() {
-    // The tentpole pin: S ∈ {1, 2, 4} × (CollectMode × workers), all
+    // The tentpole pin: S ∈ {1, 2, 4} × workers ∈ {0, 2}, all
     // bit-equal to the in-memory driver, with per-round metrics deltas
     // still attached through the shared registry.
-    for (mode, workers) in ENGINES {
+    for workers in WORKERS {
         for shards in [1usize, 2, 4] {
-            let reports = run_sharded_session(2, mode, workers, shards, false, |_| None);
+            let reports = run_sharded_session(2, workers, shards, false, |_| None);
             assert_eq!(reports.len(), 2);
             for (i, report) in reports.iter().enumerate() {
                 let round = i as u64 + 1;
-                let tag = format!("{mode:?}/{workers}w/S{shards} round {round}");
+                let tag = format!("{workers}w/S{shards} round {round}");
                 assert_eq!(report.round, round, "{tag}");
                 let mem = driver_round(round, &[], false);
                 assert_eq!(report.outcome.sum, mem.sum, "{tag}");
@@ -278,11 +277,11 @@ fn shard_grid_matches_unsharded_driver() {
 fn sharded_xnoise_matches_driver_modulo_seed_range() {
     // XNoise rounds: sums and survivors stay bit-equal; the merged
     // removal seeds, filtered to the union range, equal the driver's.
-    for (mode, workers) in ENGINES {
+    for workers in WORKERS {
         for shards in [1usize, 2, 4] {
-            let reports = run_sharded_session(1, mode, workers, shards, true, |_| None);
+            let reports = run_sharded_session(1, workers, shards, true, |_| None);
             let report = &reports[0];
-            let tag = format!("{mode:?}/{workers}w/S{shards}");
+            let tag = format!("{workers}w/S{shards}");
             let mem = driver_round(1, &[], true);
             assert_eq!(report.outcome.sum, mem.sum, "{tag}");
             assert_eq!(report.outcome.survivors, mem.survivors, "{tag}");
@@ -304,10 +303,10 @@ fn sharded_dropout_then_rejoin_with_xnoise() {
     // The privacy-critical part: every shard recovers removal seeds
     // over a range keyed to the *union* dropout count's superset, so
     // the union-range filter must reproduce the driver exactly.
-    for (mode, workers) in ENGINES {
+    for workers in WORKERS {
         for shards in [1usize, 2, 4] {
-            let tag = format!("{mode:?}/{workers}w/S{shards}");
-            let reports = run_sharded_session(3, mode, workers, shards, true, |r| {
+            let tag = format!("{workers}w/S{shards}");
+            let reports = run_sharded_session(3, workers, shards, true, |r| {
                 (r == 1).then_some((VICTIM, 1))
             });
 
