@@ -34,10 +34,12 @@ use std::time::{Duration, Instant};
 
 use dordis_bench::thread_cpu;
 use dordis_net::coordinator::{run_coordinator, CoordinatorConfig};
-use dordis_net::runtime::{run_client, ClientOptions};
+use dordis_net::runtime::{run_session_client, SessionClientOptions};
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{Client, ClientInput};
-use dordis_secagg::driver::{client_rng, run_round, share_keys_rng, DropoutSchedule, RoundSpec};
+use dordis_secagg::driver::{
+    client_rng, round_rng_seed, run_round, share_keys_rng, DropoutSchedule, RoundSpec,
+};
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::server::Server;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
@@ -116,14 +118,20 @@ fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
         let hub = hub.clone();
         handles.push(std::thread::spawn(move || {
             let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
+            let opts = SessionClientOptions {
                 id,
                 rng_seed: SEED,
-                fail: None,
                 recv_timeout: Duration::from_secs(600),
                 silent_linger: Duration::from_secs(1),
             };
-            run_client(&mut chan, &opts, move |_| Ok(input_for(id)), |_| None)
+            run_session_client(
+                &mut chan,
+                &opts,
+                |_| None,
+                |_| None,
+                |_, _, _, _| Ok(input_for(id)),
+                |_| None,
+            )
         }));
     }
     let cfg = CoordinatorConfig::new(
@@ -149,13 +157,15 @@ fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
     }
 
     // Bit-equality pin against the serial in-memory driver: same
-    // params, same seeds, so sums and removal seeds must be identical.
+    // params, same per-round seed, so sums and removal seeds must be
+    // identical.
     let inputs: BTreeMap<ClientId, ClientInput> = (0..n).map(|id| (id, input_for(id))).collect();
+    let spec_params = params(n, graph);
     let (mem, _) = run_round(RoundSpec {
-        params: params(n, graph),
+        rng_seed: round_rng_seed(SEED, spec_params.round),
+        params: spec_params,
         inputs,
         dropout: DropoutSchedule::none(),
-        rng_seed: SEED,
     })
     .expect("driver round");
     assert_eq!(report.outcome.sum, mem.sum, "n={n}: sum diverges");

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use dordis_bench::thread_cpu;
 use dordis_net::coordinator::{run_coordinator, CoordinatorConfig};
-use dordis_net::runtime::{run_client, ClientOptions};
+use dordis_net::runtime::{run_session_client, SessionClientOptions};
 use dordis_net::transport::{Channel as _, LoopbackHub, ThrottledChannel};
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
@@ -108,14 +108,20 @@ fn timed_round(n: u32) -> RunResult {
             let inner = hub.connect(&format!("c{id}")).expect("connect");
             let mut chan =
                 ThrottledChannel::new(Box::new(inner), UPLINK_BYTES_PER_SEC, per_frame(id));
-            let opts = ClientOptions {
+            let opts = SessionClientOptions {
                 id,
                 rng_seed: SEED,
-                fail: None,
                 recv_timeout: Duration::from_secs(600),
                 silent_linger: Duration::from_secs(1),
             };
-            run_client(&mut chan, &opts, move |_| Ok(input_for(id)), |_| None)
+            run_session_client(
+                &mut chan,
+                &opts,
+                |_| None,
+                |_| None,
+                |_, _, _, _| Ok(input_for(id)),
+                |_| None,
+            )
         }));
     }
     let cfg = CoordinatorConfig::new(

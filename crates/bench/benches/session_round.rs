@@ -5,11 +5,12 @@
 //! to back; this bench measures the session layer's contribution: R
 //! rounds over one warm connection per client (one `Session`, round
 //! announces, per-round `RoundMachine`s) against the same R rounds
-//! executed the pre-session way — a fresh TCP connection, client
-//! thread, and join handshake for every client in every round. Both
-//! variants run the identical per-round protocol with identical
-//! per-round seeds ([`round_rng_seed`]), so the delta is pure
-//! connection/session overhead.
+//! executed the pre-session way — a fresh one-round coordinator
+//! session, TCP connection, client thread, and join handshake for every
+//! client in every round. Both variants run the identical per-round
+//! protocol with identical per-round seeds
+//! ([`round_rng_seed`](dordis_net::runtime::round_rng_seed)), so the
+//! delta is pure connection/session overhead.
 //!
 //! Results land in `BENCH_session_round.json` at the workspace root;
 //! `SESSION_ROUND_SMOKE=1` shrinks the schedule for CI and skips the
@@ -24,10 +25,7 @@ use std::time::{Duration, Instant};
 
 use dordis_net::coordinator::{run_coordinator, CollectMode, CoordinatorConfig};
 use dordis_net::faults::FaultPlan;
-use dordis_net::runtime::{
-    round_rng_seed, run_client, run_session_client, ClientOptions, SessionClientOptions,
-    SessionEndKind,
-};
+use dordis_net::runtime::{run_session_client, SessionClientOptions, SessionEndKind};
 use dordis_net::session::{Seating, Session, SessionConfig};
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_net::transport::Acceptor as _;
@@ -128,8 +126,9 @@ fn persistent(rounds: u64, dim: usize, telemetry: Telemetry) -> Duration {
     start.elapsed()
 }
 
-/// The same R rounds the pre-session way: fresh connections, client
-/// threads, and a full join handshake every round.
+/// The same R rounds the pre-session way: a fresh one-round
+/// coordinator session, connections, client threads, and a full join
+/// handshake every round.
 fn reconnect_per_round(rounds: u64, dim: usize) -> Duration {
     let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
     let addr = acceptor.local_addr();
@@ -140,20 +139,23 @@ fn reconnect_per_round(rounds: u64, dim: usize) -> Duration {
             let addr = addr.clone();
             handles.push(std::thread::spawn(move || {
                 let mut chan = TcpChannel::connect(&addr).expect("connect");
-                let opts = ClientOptions {
+                let opts = SessionClientOptions {
                     id,
-                    rng_seed: round_rng_seed(SEED, round),
-                    fail: None,
+                    rng_seed: SEED,
                     recv_timeout: Duration::from_secs(120),
                     silent_linger: Duration::from_secs(1),
                 };
-                run_client(
+                let report = run_session_client(
                     &mut chan,
                     &opts,
-                    move |_| Ok(input_for(id, round, dim)),
+                    |_| None,
+                    |_| None,
+                    |r, _params, _cohort, _payload| Ok(input_for(id, r, dim)),
                     |_| None,
                 )
                 .expect("client run");
+                assert!(matches!(report.end, SessionEndKind::Ended));
+                assert_eq!(report.rounds.len(), 1);
             }));
         }
         let cfg = CoordinatorConfig::new(

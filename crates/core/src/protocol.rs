@@ -10,7 +10,9 @@ use std::collections::BTreeMap;
 
 use dordis_crypto::prg::Seed;
 use dordis_secagg::client::ClientInput;
-use dordis_secagg::driver::{run_round, DropStage, DropoutSchedule, RoundSpec, RoundStats};
+use dordis_secagg::driver::{
+    round_rng_seed, run_round, DropStage, DropoutSchedule, RoundSpec, RoundStats,
+};
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 use dordis_xnoise::decomposition::XNoisePlan;
@@ -157,11 +159,13 @@ pub fn run_protocol_round(
     for &id in drop_before_masking {
         dropout.drop_at(id, DropStage::BeforeMaskedInput);
     }
+    // Per-round randomness, derived exactly as a networked session
+    // client derives it, so the two paths run identical masks.
     let (outcome, stats) = run_round(RoundSpec {
         params,
         inputs,
         dropout,
-        rng_seed: cfg.seed,
+        rng_seed: round_rng_seed(cfg.seed, cfg.round),
     })?;
     finish_round(cfg, n, outcome, stats)
 }
@@ -186,7 +190,9 @@ pub fn run_protocol_round_networked(
     drop_before_masking: &[ClientId],
 ) -> Result<ProtocolRoundOutcome, DordisError> {
     use dordis_net::coordinator::{run_coordinator, CoordinatorConfig};
-    use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
+    use dordis_net::runtime::{
+        run_session_client, FailAction, FailPoint, FailStage, SessionClientOptions,
+    };
     use dordis_net::transport::LoopbackHub;
     use std::sync::Arc;
     use std::time::Duration;
@@ -207,7 +213,11 @@ pub fn run_protocol_round_networked(
                 .map(|&id| {
                     (
                         id,
-                        dordis_secagg::driver::signing_key_for(cfg.seed, id).verifying_key(),
+                        dordis_secagg::driver::signing_key_for(
+                            round_rng_seed(cfg.seed, params.round),
+                            id,
+                        )
+                        .verifying_key(),
                     )
                 })
                 .collect::<BTreeMap<_, _>>(),
@@ -229,20 +239,24 @@ pub fn run_protocol_round_networked(
             let mut chan = hub
                 .connect(&format!("client-{id}"))
                 .map_err(|e| format!("connect: {e}"))?;
-            let opts = ClientOptions {
+            let opts = SessionClientOptions {
                 id,
                 rng_seed: seed,
-                fail,
                 recv_timeout: Duration::from_secs(60),
                 silent_linger: Duration::from_secs(1),
             };
-            run_client(
+            run_session_client(
                 &mut chan,
                 &opts,
-                move |_| Ok(input),
-                move |_| {
-                    registry.map(|reg| dordis_secagg::client::Identity {
-                        signing: dordis_secagg::driver::signing_key_for(seed, id),
+                |_| None,
+                move |_| fail,
+                move |_, _, _, _| Ok(input.clone()),
+                move |p| {
+                    registry.clone().map(|reg| dordis_secagg::client::Identity {
+                        signing: dordis_secagg::driver::signing_key_for(
+                            round_rng_seed(seed, p.round),
+                            id,
+                        ),
                         registry: reg,
                     })
                 },

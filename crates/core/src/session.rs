@@ -9,14 +9,13 @@
 //!   sampled by VRF self-selection + [`seat_claims`] verify-and-trim,
 //!   and the round itself runs through the in-memory secagg *driver*
 //!   ([`run_round`]) with scripted dropouts.
-//! - [`train_session_networked`]: the deployed shape. A
-//!   [`Session`](dordis_net::session::Session) coordinator runs R
-//!   rounds back to back over persistent loopback connections; every
-//!   population member keeps one connection open, answers each round's
-//!   announce with a VRF participation claim (or a decline), receives
-//!   the current global model in the Setup payload, trains locally, and
-//!   streams its masked update. Scripted droppers fail mid-chunk-stream
-//!   and *reconnect* to re-join the next round.
+//! - [`train_session_networked`]: the deployed shape. A [`Session`]
+//!   coordinator runs R rounds back to back over persistent loopback
+//!   connections; every population member keeps one connection open,
+//!   answers each round's announce with a VRF participation claim (or a
+//!   decline), receives the current global model in the Setup payload,
+//!   trains locally, and streams its masked update. Scripted droppers
+//!   fail mid-chunk-stream and *reconnect* to re-join the next round.
 //!
 //! Both paths derive every random artefact (VRF keys, per-round protocol
 //! seeds, encoding rotations, noise seeds) from the same

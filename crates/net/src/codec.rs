@@ -14,6 +14,8 @@
 //! `(bit_width, vector_len)` — both sides know them from [`RoundParams`],
 //! which is how the paper's system avoids paying a per-message header
 //! for static round state.
+//!
+//! [`WireSize::wire_bytes`]: dordis_secagg::messages::WireSize::wire_bytes
 
 use dordis_crypto::ed25519::Signature;
 use dordis_crypto::prg::Seed;

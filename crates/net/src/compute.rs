@@ -1,6 +1,6 @@
 //! The coordinator's compute plane: a [`dordis_compute::Pool`] whose
 //! completions are published back into the reactor through the
-//! [`WakeQueue`](crate::reactor::WakeQueue).
+//! [`WakeQueue`].
 //!
 //! The coordinator submits per-chunk unmask/aggregate jobs (survivor
 //! self-mask expansion, per-dropped-client pairwise re-expansion after

@@ -12,14 +12,14 @@
 //!
 //! All per-round state — the secagg [`Server`], the [`ChunkPlan`], the
 //! traffic/dropout accounting, and the round id every frame is checked
-//! against — lives in a [`RoundMachine`]. A
-//! [`Session`](crate::session::Session) constructs one machine per
-//! round and runs them back to back over the same persistent
-//! connections; [`run_coordinator`] is the single-round convenience
-//! wrapper (one session, one round). A frame whose envelope carries a
-//! *different* round id than the machine's is never parsed into the
-//! round's state: frames from older rounds (a slow peer catching up
-//! after a session transition) are discarded and counted in
+//! against — lives in a [`RoundMachine`]. A [`Session`] constructs one
+//! machine per round and runs them back to back over the same
+//! persistent connections; [`run_coordinator`] is the single-round
+//! convenience wrapper — an ordinary announced session of one round,
+//! closed with `SessionEnd` like any other. A frame whose envelope
+//! carries a *different* round id than the machine's is never parsed
+//! into the round's state: frames from older rounds (a slow peer
+//! catching up after a session transition) are discarded and counted in
 //! [`NetRoundReport::stale_frames`]; frames claiming future rounds are
 //! protocol violations.
 //!
@@ -126,8 +126,10 @@ pub struct CoordinatorConfig {
     /// `params.clients.len()` for an unsharded round; a sharded session
     /// overrides it with the full seated-cohort size so clients derive
     /// XNoise planning and update encoding from the cohort the privacy
-    /// ledger sees, not from their shard's roster.
-    pub cohort: u16,
+    /// ledger sees, not from their shard's roster. Crate-private:
+    /// [`CoordinatorConfig::new`] fills it in and the session, its only
+    /// other writer, recomputes it per round.
+    pub(crate) cohort: u16,
     /// Global ingress budget in bytes for the reactor's shared frame
     /// pool ([`crate::pool::BytePool`]). `0` (the default) disables
     /// backpressure — unlimited buffering, the bit-equal reference.
@@ -170,41 +172,10 @@ impl CoordinatorConfig {
         }
     }
 
-    /// An unchunked config with no injected compute — the pre-chunking
-    /// behaviour.
-    #[must_use]
-    pub fn single(params: RoundParams, join_timeout: Duration, stage_timeout: Duration) -> Self {
-        Self::new(params, join_timeout, stage_timeout, 1, None)
-    }
-
     /// Overrides the compute-plane worker count (builder-style).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Installs a telemetry sink (builder-style).
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Overrides the union cohort size broadcast in Setup
-    /// (builder-style) — sharded sessions pass the full seated-cohort
-    /// size here while `params.clients` holds the shard roster.
-    #[must_use]
-    pub fn with_cohort(mut self, cohort: u16) -> Self {
-        self.cohort = cohort;
-        self
-    }
-
-    /// Sets the reactor's global ingress budget in bytes
-    /// (builder-style); `0` disables backpressure.
-    #[must_use]
-    pub fn with_ingress_budget(mut self, bytes: u64) -> Self {
-        self.ingress_budget = bytes;
         self
     }
 }
@@ -317,8 +288,10 @@ pub(crate) fn client_of(token: Token) -> Option<ClientId> {
 }
 
 /// Runs one full round over `acceptor` — the single-round convenience
-/// wrapper around a one-round [`Session`] with legacy (roster,
-/// eager-join) seating.
+/// wrapper around an ordinary one-round roster [`Session`]: the round
+/// is announced, seated from `cfg.params.clients`, executed, and closed
+/// with `SessionEnd`, so its clients are plain
+/// [`run_session_client`](crate::runtime::run_session_client)s.
 ///
 /// Accepts joins until every sampled client is present or
 /// `join_timeout` passes, then drives the stages. Clients that vanish
@@ -349,7 +322,7 @@ pub fn run_coordinator(
         ingress_budget: cfg.ingress_budget,
         telemetry: cfg.telemetry.clone(),
         metrics_addr: None,
-        announce: false,
+        announce: true,
         population: Vec::new(),
         seating: Seating::Roster,
         params_for: Box::new(move |_, _| params.clone()),
@@ -357,7 +330,9 @@ pub fn run_coordinator(
         faults: cfg.faults.clone(),
     };
     let mut session = Session::new(acceptor, session_cfg)?;
-    session.run_round(&[])
+    let report = session.run_round(&[])?;
+    session.finish();
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{RoundParams, ThreatModel};
 
 use crate::coordinator::{run_coordinator, CoordinatorConfig, NetRoundReport};
-use crate::runtime::{run_client, ClientOptions};
+use crate::runtime::{run_session_client, SessionClientOptions};
 use crate::transport::{LoopbackHub, ThrottledChannel};
 
 /// One injected-latency overlap experiment: its round shape and its
@@ -123,21 +123,28 @@ impl OverlapScenario {
                     scenario.uplink_bytes_per_sec,
                     Duration::ZERO,
                 );
-                let opts = ClientOptions {
+                let opts = SessionClientOptions {
                     id,
                     rng_seed: 5,
-                    fail: None,
                     recv_timeout: Duration::from_secs(30),
                     silent_linger: Duration::from_secs(1),
                 };
                 let mask = (1u64 << scenario.bit_width) - 1;
-                let input = ClientInput {
-                    vector: (0..scenario.dim)
-                        .map(|i| (u64::from(id) * 31 + i as u64) & mask)
-                        .collect(),
-                    noise_seeds: Vec::new(),
-                };
-                run_client(&mut chan, &opts, move |_| Ok(input), |_| None)
+                run_session_client(
+                    &mut chan,
+                    &opts,
+                    |_| None,
+                    |_| None,
+                    |_, _, _, _| {
+                        Ok(ClientInput {
+                            vector: (0..scenario.dim)
+                                .map(|i| (u64::from(id) * 31 + i as u64) & mask)
+                                .collect(),
+                            noise_seeds: Vec::new(),
+                        })
+                    },
+                    |_| None,
+                )
             }));
         }
         let start = Instant::now();

@@ -7,12 +7,12 @@
 //! replaces the sweep with a small mio-style reactor:
 //!
 //! - [`Poller`]: an epoll instance driven through direct `syscall`
-//!   instructions (the container has no crates.io access, so no `libc` /
-//!   `mio` — the handful of syscalls we need are wrapped by hand in
-//!   [`sys`]). Registrations are [`Token`]-keyed with read/write
-//!   [`Interest`]; events are level-triggered, which composes with the
-//!   drain-until-`WouldBlock` discipline of
-//!   [`EventedChannel::try_recv`].
+//!   instructions (the workspace builds without crates.io, so no
+//!   `libc` / `mio` — the handful of syscalls we need are wrapped by
+//!   hand in the private `sys` module). Registrations are
+//!   [`Token`]-keyed with read/write [`Interest`]; events are
+//!   level-triggered, which composes with the drain-until-`WouldBlock`
+//!   discipline of [`EventedChannel::try_recv`].
 //! - [`TimerWheel`]: a coarse hashed wheel holding per-token deadlines
 //!   at the coordinator's tick granularity
 //!   (`CoordinatorConfig::tick`) — stage and per-chunk dropout

@@ -2,18 +2,14 @@
 //! symmetrically to the [`coordinator`](crate::coordinator), over any
 //! [`Channel`].
 //!
-//! Two entry points:
-//!
-//! - [`run_client`]: the single-round runtime. Joins eagerly, receives
-//!   the round setup, computes its input via a caller-supplied closure
-//!   (the update only exists once the round parameters are known), and
-//!   answers each server broadcast.
-//! - [`run_session_client`]: the multi-round session runtime. Answers
-//!   every [`StageTag::RoundAnnounce`] with a participation claim (or a
-//!   decline), participates in each round it is seated for — building a
-//!   **fresh** per-round protocol state machine with per-round
-//!   randomness ([`round_rng_seed`]) — and keeps the connection warm
-//!   between rounds until the server's `SessionEnd`.
+//! One entry point, [`run_session_client`]: it joins at connect time,
+//! answers every [`StageTag::RoundAnnounce`] with a participation claim
+//! (or a decline), participates in each round it is seated for —
+//! building a **fresh** per-round protocol state machine with per-round
+//! randomness ([`round_rng_seed`]) — and keeps the connection warm
+//! between rounds until the server's `SessionEnd`. A single networked
+//! round (e.g. [`run_coordinator`](crate::coordinator::run_coordinator))
+//! is simply a session of one round.
 //!
 //! A detected inconsistency makes the state machine abort; the runtime
 //! forwards that as an explicit `Abort` envelope and goes silent, which
@@ -82,26 +78,20 @@ pub struct FailPoint {
     pub action: FailAction,
 }
 
-/// Client-side options for one round.
-pub struct ClientOptions {
-    /// This client's id (must be in the sampled set).
-    pub id: ClientId,
-    /// Seed for protocol randomness. The derivation below matches the
-    /// in-memory driver's, so a loopback round reproduces a driver round
-    /// bit for bit.
-    pub rng_seed: u64,
-    /// Optional scripted failure.
-    pub fail: Option<FailPoint>,
-    /// How long to wait for each server broadcast (must comfortably
-    /// exceed the server's per-stage deadline).
-    pub recv_timeout: Duration,
-    /// For [`FailAction::Silent`]: how long to keep the connection open
-    /// while unresponsive. Set this past the server's stage deadline so
-    /// the dropout is detected by timeout rather than by disconnect.
-    pub silent_linger: Duration,
+/// Per-round participation options, derived from the session client's
+/// options when a round's Setup arrives.
+struct RoundOptions {
+    id: ClientId,
+    /// This round's protocol seed ([`round_rng_seed`] of the session
+    /// seed). The derivation below matches the in-memory driver's, so a
+    /// networked round reproduces a driver round bit for bit.
+    rng_seed: u64,
+    fail: Option<FailPoint>,
+    recv_timeout: Duration,
+    silent_linger: Duration,
 }
 
-/// How a client run ended.
+/// How one round's participation ended.
 #[derive(Clone, Debug)]
 pub enum ClientRunOutcome {
     /// Round finished; the server reported these survivors.
@@ -126,53 +116,6 @@ pub enum ClientRunOutcome {
     },
 }
 
-/// Joins a round and participates until it completes (or fails).
-///
-/// `input_for` builds the (already DP-perturbed) input once the round
-/// parameters are known; `identity_for` supplies the PKI identity in the
-/// malicious model.
-///
-/// # Errors
-///
-/// Transport failures, codec failures, and protocol violations by the
-/// server. Scripted failures and state-machine aborts are *outcomes*,
-/// not errors.
-pub fn run_client<FIn, FId>(
-    chan: &mut dyn Channel,
-    opts: &ClientOptions,
-    input_for: FIn,
-    identity_for: FId,
-) -> Result<ClientRunOutcome, NetError>
-where
-    FIn: FnOnce(&RoundParams) -> Result<ClientInput, NetError>,
-    FId: FnOnce(&RoundParams) -> Option<Identity>,
-{
-    // ---- Join. ----
-    // Eager joins carry round 0: the client learns the real round id
-    // from the Setup broadcast.
-    send_env(
-        chan,
-        &Envelope::new(StageTag::Join, 0, codec::encode_join(opts.id)),
-    )?;
-
-    // ---- Setup. ----
-    let env = recv_until(chan, opts.recv_timeout)?;
-    match env.stage {
-        StageTag::Setup => participate(
-            chan,
-            opts,
-            env.round,
-            &env.body,
-            |params, _cohort, _payload| input_for(params),
-            identity_for,
-        ),
-        StageTag::Abort => Ok(ClientRunOutcome::ServerAborted {
-            reason: codec::decode_abort(&env.body),
-        }),
-        other => Err(NetError::Protocol(format!("expected Setup, got {other:?}"))),
-    }
-}
-
 /// Executes one round from its Setup body onward: builds a fresh
 /// protocol state machine for the round and serves broadcasts until
 /// Finished (or a failure outcome).
@@ -183,7 +126,7 @@ where
 /// [`NetError::StaleRound`] when a broadcast carries the wrong round id.
 fn participate<FIn, FId>(
     chan: &mut dyn Channel,
-    opts: &ClientOptions,
+    opts: &RoundOptions,
     env_round: u64,
     setup_body: &[u8],
     input_for: FIn,
@@ -415,7 +358,9 @@ pub struct SessionClientOptions {
     /// cover a whole round the client is *not* seated in (it hears
     /// nothing until the next announce).
     pub recv_timeout: Duration,
-    /// See [`ClientOptions::silent_linger`].
+    /// For [`FailAction::Silent`]: how long to keep the connection open
+    /// while unresponsive. Set this past the server's stage deadline so
+    /// the dropout is detected by timeout rather than by disconnect.
     pub silent_linger: Duration,
 }
 
@@ -497,15 +442,14 @@ where
     FId: FnMut(&RoundParams) -> Option<Identity>,
 {
     let mut rounds: Vec<SessionRoundResult> = Vec::new();
-    // Eager join: announce-then-answer costs a round-trip before the
-    // session's *first* round can even be seated, which is exactly the
-    // overhead a one-round session pays over the legacy eager
-    // `run_client`. So the client joins optimistically at connect time,
-    // stamped round 0 (round ids start at 1): a roster session admits
-    // it immediately — its first RoundAnnounce is then answered by this
-    // already-filed join, no extra round-trip — while a claims session
-    // discards it as typed-stale and waits for the real claim after the
-    // announce.
+    // Eager join: announce-then-answer would cost a round-trip before
+    // the session's *first* round can even be seated — the whole
+    // overhead of a one-round session. So the client joins
+    // optimistically at connect time, stamped round 0 (round ids start
+    // at 1): a roster session admits it immediately — its first
+    // RoundAnnounce is then answered by this already-filed join, no
+    // extra round-trip — while a claims session discards it as
+    // typed-stale and waits for the real claim after the announce.
     send_env(
         chan,
         &Envelope::new(StageTag::Join, 0, codec::encode_join(opts.id)),
@@ -566,7 +510,7 @@ where
             }
             StageTag::Setup => {
                 let round = env.round;
-                let ropts = ClientOptions {
+                let ropts = RoundOptions {
                     id: opts.id,
                     rng_seed: round_rng_seed(opts.rng_seed, round),
                     fail: fail_for(round),
@@ -713,7 +657,7 @@ fn recv_until(chan: &mut dyn Channel, timeout: Duration) -> Result<Envelope, Net
 /// Fires the fail point if configured for `stage`.
 fn maybe_fail(
     chan: &mut dyn Channel,
-    opts: &ClientOptions,
+    opts: &RoundOptions,
     stage: FailStage,
 ) -> Option<ClientRunOutcome> {
     let fail = opts.fail?;

@@ -14,18 +14,18 @@
 //! - the round counter stamped into every envelope, and
 //! - the seating policy deciding who participates in each round.
 //!
-//! Everything per-round lives in a fresh
-//! [`RoundMachine`](crate::coordinator::RoundMachine) (secagg server,
-//! chunk plan, traffic/dropout accounting), so no protocol state can
-//! leak between rounds, and a frame carrying an old round id is
+//! Everything per-round lives in a fresh [`RoundMachine`] (secagg
+//! server, chunk plan, traffic/dropout accounting), so no protocol
+//! state can leak between rounds, and a frame carrying an old round id is
 //! discarded by the typed [`NetError::StaleRound`] check instead of
 //! being parsed into the current round.
 //!
 //! ## Round lifecycle
 //!
-//! 1. **Announce** (`announce: true`): the session broadcasts
-//!    [`StageTag::RoundAnnounce`] with the new round id to every parked
-//!    connection, and to every newly accepted one.
+//! 1. **Announce**: the session broadcasts [`StageTag::RoundAnnounce`]
+//!    with the new round id to every parked connection, and to every
+//!    newly accepted one. Every round is announced — a one-round
+//!    [`run_coordinator`](crate::coordinator::run_coordinator) too.
 //! 2. **Join / claim**: each client answers with [`StageTag::Join`] —
 //!    carrying a participation claim when the seating policy is
 //!    [`Seating::Claims`] — or [`StageTag::Decline`]. New connections
@@ -70,7 +70,7 @@
 //! removal keys off the union dropout count and ignores the extras.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dordis_secagg::driver::RoundStats;
@@ -168,9 +168,9 @@ pub struct SessionConfig<'a> {
     /// [`CoordinatorConfig::ingress_budget`]). A sharded round splits
     /// the budget evenly across the shard reactors.
     pub ingress_budget: u64,
-    /// Whether to broadcast [`StageTag::RoundAnnounce`] at each round
-    /// start (required for multi-round sessions; the single-round
-    /// legacy wrapper runs without it, clients join eagerly).
+    /// Selects nothing: every round is announced with
+    /// [`StageTag::RoundAnnounce`]. The field exists only for source
+    /// compatibility with callers that still set it.
     pub announce: bool,
     /// Known client population, used to close the join window early
     /// once everyone has answered (claimed or declined). Empty = always
@@ -755,10 +755,10 @@ impl<'a> Session<'a> {
     // Join / claim phase.
     // -----------------------------------------------------------------
 
-    /// Announces `round` (when configured), collects Join/Decline
-    /// answers from parked peers, and accepts new connections, until
-    /// everyone answered or the join window closes. Returns the answers
-    /// and the number of stale frames discarded.
+    /// Announces `round`, collects Join/Decline answers from parked
+    /// peers, and accepts new connections, until everyone answered or
+    /// the join window closes. Returns the answers and the number of
+    /// stale frames discarded.
     fn join_phase(
         &mut self,
         round: u64,
@@ -768,25 +768,24 @@ impl<'a> Session<'a> {
         let mut answers: BTreeMap<ClientId, Answer> = BTreeMap::new();
         let mut stale = 0u64;
 
-        if self.cfg.announce {
-            // Encoded once per round; every parked peer queues the same
-            // refcounted wire message.
-            let wire = wire_message(&announce_frame(round, claims_mode));
-            self.cfg
-                .telemetry
-                .counter("dordis_broadcast_encodes_total", &[])
-                .inc();
-            let ids: Vec<ClientId> = self.parked.keys().copied().collect();
-            for id in ids {
-                if let Some(chan) = self.parked.get_mut(&id) {
-                    if chan.send_wire_shared(&wire).is_err() || chan.try_flush().is_err() {
-                        self.parked.remove(&id);
-                    }
+        // Encoded once per round; every parked peer — and every
+        // connection accepted during the window — queues the same
+        // refcounted wire message.
+        let wire = wire_message(&announce_frame(round, claims_mode));
+        self.cfg
+            .telemetry
+            .counter("dordis_broadcast_encodes_total", &[])
+            .inc();
+        let ids: Vec<ClientId> = self.parked.keys().copied().collect();
+        for id in ids {
+            if let Some(chan) = self.parked.get_mut(&id) {
+                if chan.send_wire_shared(&wire).is_err() || chan.try_flush().is_err() {
+                    self.parked.remove(&id);
                 }
             }
         }
 
-        self.join_window(round, roster, claims_mode, &mut answers, &mut stale)?;
+        self.join_window(round, roster, claims_mode, &wire, &mut answers, &mut stale)?;
         self.seen.extend(answers.keys().copied());
         Ok((answers, stale))
     }
@@ -819,16 +818,12 @@ impl<'a> Session<'a> {
         round: u64,
         roster: Option<&BTreeSet<ClientId>>,
         claims_mode: bool,
+        announce_wire: &Arc<[u8]>,
         answers: &mut BTreeMap<ClientId, Answer>,
         stale: &mut u64,
     ) -> Result<(), NetError> {
         let deadline = Instant::now() + self.cfg.join_timeout;
         let mut awaiting: BTreeMap<u64, Box<dyn EventedChannel>> = BTreeMap::new();
-        // One announce encoding covers every (re)connection this round.
-        let announce_wire = self
-            .cfg
-            .announce
-            .then(|| wire_message(&announce_frame(round, claims_mode)));
 
         // Initial sweep of parked peers: answers may already be buffered
         // and their readiness consumed by a previous round's poll.
@@ -866,12 +861,10 @@ impl<'a> Session<'a> {
                             token,
                             (Instant::now() + self.cfg.stage_timeout).min(deadline),
                         );
-                        if let Some(wire) = &announce_wire {
-                            if chan.send_wire_shared(wire).is_err() {
-                                continue; // connection already dead
-                            }
-                            let _ = chan.try_flush();
+                        if chan.send_wire_shared(announce_wire).is_err() {
+                            continue; // connection already dead
                         }
+                        let _ = chan.try_flush();
                         awaiting.insert(token.0, chan);
                     }
                     Err(NetError::Timeout) => break,
@@ -1116,8 +1109,9 @@ impl<'a> Session<'a> {
         };
         // Answers are round-bound in claims mode: a Join or Decline for
         // an older round is stale (the client will re-answer after the
-        // announce). Roster joins are round-agnostic (legacy clients
-        // join with round 0 and learn the real id from Setup).
+        // announce). Roster joins are round-agnostic: a client's eager
+        // join at connect time carries round 0 and is admitted as its
+        // answer to whichever round it lands in.
         if claims_mode
             && matches!(env.stage, StageTag::Join | StageTag::Decline)
             && env.round != round
@@ -1225,7 +1219,7 @@ type ShardSlot = Option<(Result<NetRoundReport, NetError>, Peers)>;
 /// Wake-token namespace for shard-completion notifications posted to
 /// the *session* reactor: shard `s` wakes `SHARD_DONE_BASE + s`. Sits
 /// below the reactor's internal metrics-connection namespace and far
-/// above client ids and provisional join tokens ([`JOIN_BASE`]).
+/// above client ids and provisional join tokens (`JOIN_BASE`).
 pub const SHARD_DONE_BASE: u64 = u64::MAX - (2 << 20);
 
 /// Which aggregation shard a client belongs to, for a cohort

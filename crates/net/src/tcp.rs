@@ -294,7 +294,7 @@ impl WriteBuffer {
     }
 
     /// Writes as much as `w` accepts, gathering up to
-    /// [`MAX_WRITEV_SEGMENTS`] segments per vectored write. `Ok(true)`
+    /// `MAX_WRITEV_SEGMENTS` segments per vectored write. `Ok(true)`
     /// means drained; `Ok(false)` means `w` signalled `WouldBlock` (or
     /// accepted only part) and the remainder waits for the next
     /// readiness event.

@@ -7,7 +7,7 @@
 //! registers it with the reactor and drives it through readiness, while
 //! clients keep the blocking [`Channel`] API. The loopback transport has
 //! no file descriptor; its readiness travels through the reactor's
-//! [`WakeQueue`](crate::reactor::WakeQueue) — a sender publishes the
+//! [`WakeQueue`] — a sender publishes the
 //! receiving end's token and pokes the wake pipe.
 
 use std::sync::{mpsc, Arc, Mutex};

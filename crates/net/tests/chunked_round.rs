@@ -11,8 +11,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind, NetRoundReport};
-use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
+use dordis_net::runtime::{
+    round_rng_seed, FailAction, FailPoint, FailStage, SessionClientOptions, SessionClientReport,
+    SessionEndKind,
+};
 use dordis_net::transport::LoopbackHub;
+use dordis_net::NetError;
 use dordis_secagg::client::{ClientInput, Identity};
 use dordis_secagg::driver::{run_round, signing_key_for, DropStage, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
@@ -20,7 +24,7 @@ use dordis_secagg::server::RoundOutcome;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 
 mod common;
-use common::WORKERS;
+use common::{one_round_client, WORKERS};
 
 const BITS: u32 = 16;
 const DIM: usize = 48;
@@ -73,12 +77,15 @@ fn driver_round(
         params: params.clone(),
         inputs: inputs.clone(),
         dropout,
-        rng_seed: SEED,
+        rng_seed: round_rng_seed(SEED, params.round),
     })
     .expect("driver round");
     outcome
 }
 
+/// Runs the round over loopback. Clients without a fail point must see
+/// the session end cleanly; the failing clients' own results are
+/// returned alongside the coordinator's report.
 fn net_round(
     params: &RoundParams,
     inputs: &BTreeMap<ClientId, ClientInput>,
@@ -86,15 +93,20 @@ fn net_round(
     chunks: usize,
     stage_timeout: Duration,
     workers: usize,
-) -> NetRoundReport {
+) -> (
+    NetRoundReport,
+    BTreeMap<ClientId, Result<SessionClientReport, NetError>>,
+) {
     let (hub, mut acceptor) = LoopbackHub::new();
+    // PKI keys come from the round's derived seed, as in the driver.
+    let key_seed = round_rng_seed(SEED, params.round);
     let registry: Option<Arc<BTreeMap<ClientId, _>>> =
         if params.threat_model == ThreatModel::Malicious {
             Some(Arc::new(
                 params
                     .clients
                     .iter()
-                    .map(|&id| (id, signing_key_for(SEED, id).verifying_key()))
+                    .map(|&id| (id, signing_key_for(key_seed, id).verifying_key()))
                     .collect(),
             ))
         } else {
@@ -108,24 +120,17 @@ fn net_round(
         let registry = registry.clone();
         handles.push(std::thread::spawn(move || {
             let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
+            let opts = SessionClientOptions {
                 id,
                 rng_seed: SEED,
-                fail,
                 recv_timeout: Duration::from_secs(20),
                 silent_linger: Duration::from_secs(2),
             };
-            run_client(
-                &mut chan,
-                &opts,
-                move |_| Ok(input),
-                move |_| {
-                    registry.map(|reg| Identity {
-                        signing: signing_key_for(SEED, id),
-                        registry: reg,
-                    })
-                },
-            )
+            let identity = registry.map(|reg| Identity {
+                signing: signing_key_for(key_seed, id),
+                registry: reg,
+            });
+            one_round_client(&mut chan, &opts, fail, input, identity)
         }));
     }
     let report = run_coordinator(
@@ -140,10 +145,39 @@ fn net_round(
         .with_workers(workers),
     )
     .expect("coordinator");
-    for h in handles {
-        h.join().expect("client thread").expect("client run");
+    let mut failed = BTreeMap::new();
+    for (&id, h) in params.clients.iter().zip(handles) {
+        let run = h.join().expect("client thread");
+        if fails.contains_key(&id) {
+            failed.insert(id, run);
+        } else {
+            let end = run.expect("client run").end;
+            assert!(matches!(end, SessionEndKind::Ended), "client {id}: {end:?}");
+        }
     }
-    report
+    (report, failed)
+}
+
+/// Every scripted failer must have run cleanly up to its fail point and
+/// ended with that point firing, in this one round.
+fn assert_fired(
+    fails: &BTreeMap<ClientId, FailPoint>,
+    failed: &BTreeMap<ClientId, Result<SessionClientReport, NetError>>,
+    round: u64,
+) {
+    assert_eq!(failed.len(), fails.len());
+    for (id, run) in failed {
+        match run {
+            Ok(report) => match report.end {
+                SessionEndKind::Failed { round: r, stage } => {
+                    assert_eq!(r, round, "client {id}");
+                    assert_eq!(stage, fails[id].stage, "client {id}");
+                }
+                ref end => panic!("client {id}: {end:?}"),
+            },
+            Err(e) => panic!("client {id}: {e}"),
+        }
+    }
 }
 
 fn assert_equivalent(driver: &RoundOutcome, net: &NetRoundReport) {
@@ -172,7 +206,7 @@ fn chunked_rounds_match_unchunked_driver_across_m() {
     let d = driver_round(&p, &ins, &[]);
     for workers in WORKERS {
         for m in [1usize, 4, 8] {
-            let n = net_round(
+            let (n, _) = net_round(
                 &p,
                 &ins,
                 &BTreeMap::new(),
@@ -210,7 +244,8 @@ fn midstream_disconnect_is_a_detected_chunk_dropout() {
     .collect();
     let d = driver_round(&p, &ins, &[(2, DropStage::BeforeMaskedInput)]);
     for workers in WORKERS {
-        let n = net_round(&p, &ins, &fails, 4, Duration::from_secs(5), workers);
+        let (n, failed) = net_round(&p, &ins, &fails, 4, Duration::from_secs(5), workers);
+        assert_fired(&fails, &failed, p.round);
         assert_equivalent(&d, &n);
         assert_eq!(n.outcome.dropped, vec![2]);
         let det = n
@@ -225,6 +260,35 @@ fn midstream_disconnect_is_a_detected_chunk_dropout() {
             Some(2),
             "{workers}w: detected at the chunk the stream died"
         );
+    }
+
+    // A fail point past the realized chunk count (k = 1 on a 1-chunk
+    // round) cannot fire: the client refuses loudly instead of quietly
+    // completing as a healthy client, and the coordinator sees a
+    // masked-stage dropout.
+    let fails: BTreeMap<ClientId, FailPoint> = [(
+        2u32,
+        FailPoint {
+            stage: FailStage::MaskedInputAfterChunks(1),
+            action: FailAction::Disconnect,
+        },
+    )]
+    .into_iter()
+    .collect();
+    for workers in WORKERS {
+        let (n, failed) = net_round(&p, &ins, &fails, 1, Duration::from_secs(5), workers);
+        assert_eq!(n.chunks, 1);
+        assert_equivalent(&d, &n);
+        match &failed[&2] {
+            Err(NetError::Protocol(why)) => assert!(why.contains("cannot fire"), "{why}"),
+            other => panic!("{workers}w: expected a fail-point refusal, got {other:?}"),
+        }
+        let det = n
+            .dropouts
+            .iter()
+            .find(|x| x.client == 2)
+            .expect("client 2 detected");
+        assert_eq!(det.stage, "MaskedInputCollection");
     }
 }
 
@@ -245,7 +309,8 @@ fn midstream_silence_hits_the_per_chunk_deadline() {
     .collect();
     let d = driver_round(&p, &ins, &[(3, DropStage::BeforeMaskedInput)]);
     for workers in WORKERS {
-        let n = net_round(&p, &ins, &fails, 4, Duration::from_millis(700), workers);
+        let (n, failed) = net_round(&p, &ins, &fails, 4, Duration::from_millis(700), workers);
+        assert_fired(&fails, &failed, p.round);
         assert_equivalent(&d, &n);
         let det = n
             .dropouts
@@ -276,7 +341,8 @@ fn chunked_xnoise_recovery_with_unmasking_dropout() {
     .collect();
     let d = driver_round(&p, &ins, &[(4, DropStage::BeforeUnmasking)]);
     for workers in WORKERS {
-        let n = net_round(&p, &ins, &fails, 4, Duration::from_secs(5), workers);
+        let (n, failed) = net_round(&p, &ins, &fails, 4, Duration::from_secs(5), workers);
+        assert_fired(&fails, &failed, p.round);
         assert_equivalent(&d, &n);
         // Client 4 is in U3 (its chunks all arrived) but not in U5.
         assert!(n.outcome.survivors.contains(&4));

@@ -4,14 +4,17 @@
 //! sum, survivor set, and recovered XNoise removal seeds.
 //!
 //! The client runtime derives its per-client RNGs exactly as the driver
-//! does, so the equivalence is bit-for-bit, not just distributional.
+//! does (both from `round_rng_seed(SEED, round)`), so the equivalence is
+//! bit-for-bit, not just distributional.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind, NetRoundReport};
-use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
+use dordis_net::runtime::{
+    round_rng_seed, FailAction, FailPoint, FailStage, SessionClientOptions, SessionEndKind,
+};
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{ClientInput, Identity};
 use dordis_secagg::driver::{run_round, signing_key_for, DropStage, DropoutSchedule, RoundSpec};
@@ -20,7 +23,7 @@ use dordis_secagg::server::RoundOutcome;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 
 mod common;
-use common::WORKERS;
+use common::{one_round_client, WORKERS};
 
 const BITS: u32 = 16;
 const DIM: usize = 12;
@@ -69,7 +72,7 @@ fn driver_round(
         params: params.clone(),
         inputs: inputs.clone(),
         dropout,
-        rng_seed: SEED,
+        rng_seed: round_rng_seed(SEED, params.round),
     })
     .expect("driver round");
     outcome
@@ -84,13 +87,15 @@ fn net_round(
     workers: usize,
 ) -> NetRoundReport {
     let (hub, mut acceptor) = LoopbackHub::new();
+    // PKI keys come from the round's derived seed, as in the driver.
+    let key_seed = round_rng_seed(SEED, params.round);
     let registry: Option<Arc<BTreeMap<ClientId, _>>> =
         if params.threat_model == ThreatModel::Malicious {
             Some(Arc::new(
                 params
                     .clients
                     .iter()
-                    .map(|&id| (id, signing_key_for(SEED, id).verifying_key()))
+                    .map(|&id| (id, signing_key_for(key_seed, id).verifying_key()))
                     .collect(),
             ))
         } else {
@@ -105,34 +110,40 @@ fn net_round(
         let registry = registry.clone();
         handles.push(std::thread::spawn(move || {
             let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
+            let opts = SessionClientOptions {
                 id,
                 rng_seed: SEED,
-                fail,
                 recv_timeout: Duration::from_secs(20),
                 silent_linger: Duration::from_secs(4),
             };
-            run_client(
-                &mut chan,
-                &opts,
-                move |_| Ok(input),
-                move |_| {
-                    registry.map(|reg| Identity {
-                        signing: signing_key_for(SEED, id),
-                        registry: reg,
-                    })
-                },
-            )
+            let identity = registry.map(|reg| Identity {
+                signing: signing_key_for(key_seed, id),
+                registry: reg,
+            });
+            one_round_client(&mut chan, &opts, fail, input, identity)
         }));
     }
     let report = run_coordinator(
         &mut acceptor,
-        &CoordinatorConfig::single(params.clone(), Duration::from_secs(10), stage_timeout)
-            .with_workers(workers),
+        &CoordinatorConfig::new(
+            params.clone(),
+            Duration::from_secs(10),
+            stage_timeout,
+            1,
+            None,
+        )
+        .with_workers(workers),
     )
     .expect("coordinator");
-    for h in handles {
-        h.join().expect("client thread").expect("client run");
+    for (id, h) in params.clients.iter().zip(handles) {
+        let run = h.join().expect("client thread").expect("client run");
+        if !fails.contains_key(id) {
+            assert!(
+                matches!(run.end, SessionEndKind::Ended),
+                "client {id}: {:?}",
+                run.end
+            );
+        }
     }
     report
 }
@@ -305,22 +316,23 @@ fn never_joining_client_is_an_advertise_dropout() {
         let input = ins[&id].clone();
         handles.push(std::thread::spawn(move || {
             let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
+            let opts = SessionClientOptions {
                 id,
                 rng_seed: SEED,
-                fail: None,
                 recv_timeout: Duration::from_secs(20),
                 silent_linger: Duration::from_secs(1),
             };
-            run_client(&mut chan, &opts, move |_| Ok(input), |_| None)
+            one_round_client(&mut chan, &opts, None, input, None)
         }));
     }
     let report = run_coordinator(
         &mut acceptor,
-        &CoordinatorConfig::single(
+        &CoordinatorConfig::new(
             p.clone(),
             Duration::from_millis(800),
             Duration::from_secs(5),
+            1,
+            None,
         ),
     )
     .expect("coordinator");

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind};
 use dordis_net::runtime::{
-    run_client, ClientOptions, ClientRunOutcome, FailAction, FailPoint, FailStage,
+    ClientRunOutcome, FailAction, FailPoint, FailStage, SessionClientOptions, SessionEndKind,
 };
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::ClientInput;
@@ -32,6 +32,18 @@ const SEED: u64 = 77_777;
 
 /// Clients that disconnect after streaming only part of their chunks.
 const MIDSTREAM_DROPS: [u32; 6] = [10, 55, 101, 147, 198, 240];
+
+mod common;
+use common::one_round_client;
+
+fn opts(id: ClientId) -> SessionClientOptions {
+    SessionClientOptions {
+        id,
+        rng_seed: SEED,
+        recv_timeout: Duration::from_secs(300),
+        silent_linger: Duration::from_secs(1),
+    }
+}
 
 fn input_for(id: ClientId) -> ClientInput {
     let mask = (1u64 << BITS) - 1;
@@ -65,19 +77,7 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
     // deterministically processed while the join loop is still running.
     let mut crasher_chan = hub.connect("extra").expect("connect");
     let crasher = std::thread::spawn(move || {
-        let opts = ClientOptions {
-            id: 999,
-            rng_seed: SEED,
-            fail: None,
-            recv_timeout: Duration::from_secs(300),
-            silent_linger: Duration::from_secs(1),
-        };
-        run_client(
-            &mut crasher_chan,
-            &opts,
-            move |_| Ok(input_for(999)),
-            |_| None,
-        )
+        one_round_client(&mut crasher_chan, &opts(999), None, input_for(999), None)
     });
 
     let mut handles = Vec::new();
@@ -89,14 +89,7 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
         });
         handles.push(std::thread::spawn(move || {
             let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
-                id,
-                rng_seed: SEED,
-                fail,
-                recv_timeout: Duration::from_secs(300),
-                silent_linger: Duration::from_secs(1),
-            };
-            run_client(&mut chan, &opts, move |_| Ok(input_for(id)), |_| None)
+            one_round_client(&mut chan, &opts(id), fail, input_for(id), None)
         }));
     }
     // Generous deadlines: 255 debug-build clients share this machine's
@@ -149,23 +142,30 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
         .join()
         .expect("crasher thread")
         .expect("crasher run")
+        .end
     {
-        ClientRunOutcome::ServerAborted { reason } => {
+        SessionEndKind::ServerAborted { reason } => {
             assert!(reason.contains("not in the sampled set"), "{reason}");
         }
         other => panic!("extra client should be rejected, got {other:?}"),
     }
-    let mut outcomes = BTreeMap::new();
+    let mut runs = BTreeMap::new();
     for (id, h) in handles.into_iter().enumerate() {
-        outcomes.insert(id as u32, h.join().expect("client thread").expect("run"));
+        runs.insert(id as u32, h.join().expect("client thread").expect("run"));
     }
-    for (id, outcome) in outcomes {
+    for (id, run) in runs {
         if MIDSTREAM_DROPS.contains(&id) {
-            assert!(matches!(outcome, ClientRunOutcome::Failed { .. }), "{id}");
+            assert!(matches!(run.end, SessionEndKind::Failed { .. }), "{id}");
         } else {
             assert!(
-                matches!(outcome, ClientRunOutcome::Finished { .. }),
-                "client {id}: {outcome:?}"
+                matches!(run.end, SessionEndKind::Ended),
+                "client {id}: {:?}",
+                run.end
+            );
+            assert!(
+                matches!(run.rounds[0].outcome, ClientRunOutcome::Finished { .. }),
+                "client {id}: {:?}",
+                run.rounds
             );
         }
     }

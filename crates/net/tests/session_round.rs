@@ -13,8 +13,8 @@ use dordis_net::coordinator::{
 };
 use dordis_net::faults::FaultPlan;
 use dordis_net::runtime::{
-    round_rng_seed, run_client, run_session_client, ClientOptions, ClientRunOutcome, FailAction,
-    FailPoint, FailStage, SessionClientOptions, SessionEndKind,
+    round_rng_seed, run_session_client, ClientRunOutcome, FailAction, FailPoint, FailStage,
+    SessionClientOptions, SessionEndKind, SessionRoundResult,
 };
 use dordis_net::session::{Seating, Session, SessionConfig};
 use dordis_net::transport::{Channel, LoopbackChannel, LoopbackHub, LossProfile, ThrottledChannel};
@@ -27,7 +27,7 @@ use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 use dordis_telemetry::Telemetry;
 
 mod common;
-use common::WORKERS;
+use common::{one_round_client, WORKERS};
 
 const BITS: u32 = 16;
 const DIM: usize = 16;
@@ -402,14 +402,13 @@ fn session_rounds_complete_under_packet_loss_and_reorder() {
 fn client_rejects_stale_round_frame_with_typed_error() {
     let (mut server_end, mut client_end) = LoopbackChannel::pair("stale");
     let client = std::thread::spawn(move || {
-        let opts = ClientOptions {
+        let opts = SessionClientOptions {
             id: 0,
             rng_seed: SEED,
-            fail: None,
             recv_timeout: Duration::from_secs(5),
             silent_linger: Duration::from_secs(1),
         };
-        run_client(&mut client_end, &opts, |_| Ok(input_for(0, 5)), |_| None)
+        one_round_client(&mut client_end, &opts, None, input_for(0, 5), None)
     });
 
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -490,19 +489,18 @@ fn coordinator_discards_stale_frames_without_dropping_the_peer() {
         let injected = Arc::clone(&injected);
         handles.push(std::thread::spawn(move || {
             let inner = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
+            let opts = SessionClientOptions {
                 id,
                 rng_seed: SEED,
-                fail: None,
                 recv_timeout: Duration::from_secs(20),
                 silent_linger: Duration::from_secs(1),
             };
             if id == 2 {
                 let mut chan = StaleInjector { inner, injected };
-                run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
+                one_round_client(&mut chan, &opts, None, input_for(id, 5), None)
             } else {
                 let mut chan = inner;
-                run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
+                one_round_client(&mut chan, &opts, None, input_for(id, 5), None)
             }
         }));
     }
@@ -518,8 +516,15 @@ fn coordinator_discards_stale_frames_without_dropping_the_peer() {
     )
     .expect("round");
     for h in handles {
-        let outcome = h.join().expect("client thread").expect("client run");
-        assert!(matches!(outcome, ClientRunOutcome::Finished { .. }));
+        let run = h.join().expect("client thread").expect("client run");
+        assert!(matches!(run.end, SessionEndKind::Ended), "{:?}", run.end);
+        assert!(matches!(
+            run.rounds[..],
+            [SessionRoundResult {
+                round: 5,
+                outcome: ClientRunOutcome::Finished { .. }
+            }]
+        ));
     }
     assert_eq!(report.stale_frames, 1);
     assert!(report.dropouts.is_empty(), "{:?}", report.dropouts);

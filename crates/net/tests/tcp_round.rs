@@ -1,12 +1,16 @@
 //! A complete SecAgg+ round over real TCP sockets on localhost, with one
 //! client disconnecting mid-round (the "killed client" scenario), and
-//! the outcome checked against the expected survivor aggregate.
+//! the outcome checked against the expected survivor aggregate — and
+//! against what every client saw: survivors hear the session end after
+//! their one finished round, the killed client reports where it died.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind};
-use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
+use dordis_net::runtime::{
+    ClientRunOutcome, FailAction, FailPoint, FailStage, SessionClientOptions, SessionEndKind,
+};
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
@@ -15,6 +19,9 @@ use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 const BITS: u32 = 18;
 const DIM: usize = 32;
 const N: u32 = 7;
+
+mod common;
+use common::one_round_client;
 
 fn input_for(id: ClientId) -> ClientInput {
     ClientInput {
@@ -51,25 +58,55 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
         });
         handles.push(std::thread::spawn(move || {
             let mut chan = TcpChannel::connect(addr).expect("connect");
-            let opts = ClientOptions {
+            let opts = SessionClientOptions {
                 id,
                 rng_seed: 9,
-                fail,
                 recv_timeout: Duration::from_secs(30),
                 silent_linger: Duration::from_secs(1),
             };
-            run_client(&mut chan, &opts, move |_| Ok(input_for(id)), |_| None)
+            one_round_client(&mut chan, &opts, fail, input_for(id), None)
         }));
     }
 
     let report = run_coordinator(
         &mut acceptor,
-        &CoordinatorConfig::single(params, Duration::from_secs(15), Duration::from_secs(8)),
+        &CoordinatorConfig::new(
+            params,
+            Duration::from_secs(15),
+            Duration::from_secs(8),
+            1,
+            None,
+        ),
     )
     .expect("coordinator");
 
-    for h in handles {
-        h.join().expect("thread").expect("client");
+    for (id, h) in (0..N).zip(handles) {
+        let run = h.join().expect("thread").expect("client");
+        if id == 2 {
+            assert!(
+                matches!(
+                    run.end,
+                    SessionEndKind::Failed {
+                        round: 3,
+                        stage: FailStage::MaskedInput
+                    }
+                ),
+                "killed client: {:?}",
+                run.end
+            );
+        } else {
+            assert!(
+                matches!(run.end, SessionEndKind::Ended),
+                "client {id}: {:?}",
+                run.end
+            );
+            assert_eq!(run.rounds.len(), 1, "client {id}: {:?}", run.rounds);
+            assert!(
+                matches!(run.rounds[0].outcome, ClientRunOutcome::Finished { .. }),
+                "client {id}: {:?}",
+                run.rounds
+            );
+        }
     }
 
     // Client 2 was detected (as a disconnect) and excluded.
