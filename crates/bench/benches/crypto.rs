@@ -1,8 +1,12 @@
-//! Microbenchmarks of the cryptographic substrate.
+//! Microbenchmarks of the cryptographic substrate: SHA-256 and PRG (mask)
+//! expansion throughput, X25519 key agreement and key generation, Ed25519
+//! signing and verification, Shamir sharing and reconstruction, and AEAD.
 //!
-//! These are the numbers behind the `UnitCosts::rust_native` calibration
-//! of the simulator's cost model: PRG (mask) expansion throughput, key
-//! agreement, signatures, Shamir, and AEAD.
+//! Run with `cargo bench -p dordis-bench --bench crypto`; it prints a
+//! per-operation time for each and gates on nothing. The simulator's
+//! `UnitCosts::rust_native()` does not come from these numbers: its unit
+//! costs are hand-typed constants, and replacing them with measured ones
+//! is an open ROADMAP item (the measurement spine, item (d)).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dordis_crypto::ed25519::SigningKey;

@@ -256,7 +256,7 @@ impl Point {
         if vxx.equals(u) {
             // Root found.
         } else if vxx.equals(u.neg()) {
-            x = x.mul(Fe::sqrt_m1());
+            x = x.mul(Fe::SQRT_M1);
         } else {
             return Err(CryptoError::InvalidPoint);
         }

@@ -50,7 +50,6 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     let mut x3 = x1;
     let mut z3 = Fe::ONE;
     let mut swap = 0u64;
-    let a24 = Fe::from_u64(121_665);
 
     for t in (0..255).rev() {
         let k_t = ((k[t / 8] >> (t % 8)) & 1) as u64;
@@ -71,7 +70,8 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
         x3 = da.add(cb).square();
         z3 = x1.mul(da.sub(cb).square());
         x2 = aa.mul(bb);
-        z2 = e.mul(aa.add(a24.mul(e)));
+        // a24 = (A - 2) / 4 = 121665 for curve25519's A = 486662.
+        z2 = e.mul(aa.add(e.mul_small(121_665)));
     }
     cswap(swap, &mut x2, &mut x3);
     cswap(swap, &mut z2, &mut z3);
@@ -118,6 +118,29 @@ mod tests {
         assert_eq!(
             hex(&out),
             "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"
+        );
+    }
+
+    #[test]
+    fn rfc7748_iterated_vector() {
+        // RFC 7748 §5.2: k = u = 9; each step sets (k, u) = (X25519(k, u), k).
+        // 1,000 ladders feed every lazily reduced output back as input.
+        let mut k = BASE_POINT;
+        let mut u = BASE_POINT;
+        for i in 1..=1000 {
+            let r = x25519(&k, &u);
+            u = k;
+            k = r;
+            if i == 1 {
+                assert_eq!(
+                    hex(&k),
+                    "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"
+                );
+            }
+        }
+        assert_eq!(
+            hex(&k),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
         );
     }
 

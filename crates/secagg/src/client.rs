@@ -56,8 +56,15 @@ pub struct Client {
     u1: BTreeMap<ClientId, ([u8; 32], [u8; 32])>,
     /// Clients whose ciphertexts we received (U2), in id order.
     u2: Vec<ClientId>,
-    /// Ciphertexts received, keyed by sender.
+    /// Ciphertexts received, keyed by sender; opened (and dropped) at
+    /// Unmasking.
     inbox: BTreeMap<ClientId, Vec<u8>>,
+    /// The c-key AEAD key agreed with each ShareKeys recipient, kept until
+    /// Unmasking opens that peer's bundle without a second `KA.agree`.
+    peer_keys: BTreeMap<ClientId, [u8; 32]>,
+    /// XNoise seed shares from the bundles of U3 senders, opened and
+    /// checked at Unmasking; stage 5 reveals those of `U3 \ U5`.
+    peer_seed_shares: BTreeMap<ClientId, Vec<Share>>,
     /// The U3 set this client accepted (set at consistency/unmask).
     u3: Vec<ClientId>,
     /// The U4/U5 supersets for later verification.
@@ -125,6 +132,8 @@ impl Client {
             u1: BTreeMap::new(),
             u2: Vec::new(),
             inbox: BTreeMap::new(),
+            peer_keys: BTreeMap::new(),
+            peer_seed_shares: BTreeMap::new(),
             u3: Vec::new(),
             u4: Vec::new(),
             own_b_share: None,
@@ -306,6 +315,7 @@ impl Client {
             };
             let (c_pk, _) = self.u1[&to];
             let key = self.c_kp.agree(&c_pk);
+            self.peer_keys.insert(to, key);
             let aad = aad_for(self.params.round, self.id, to);
             let ciphertext = aead::seal(&key, &aad, &bundle.encode(), rng);
             out.push(EncryptedShares {
@@ -504,14 +514,24 @@ impl Client {
             }
         }
 
-        // Decrypt every received bundle, verifying addressing.
-        let mut bundles: BTreeMap<ClientId, ShareBundle> = BTreeMap::new();
-        let inbox = std::mem::take(&mut self.inbox);
-        for (&from, ct) in inbox.iter() {
-            let (c_pk, _) = self.u1[&from];
-            let key = self.c_kp.agree(&c_pk);
+        // Decrypt every received bundle, verifying addressing, and answer
+        // with s_sk shares for dropped senders (U2 \ U3) and b shares for
+        // alive ones (U3), plus our own b share (we are in U3, or we would
+        // not be here). The key is the one agreed at ShareKeys (its last
+        // use): the graph is symmetric, so every honest sender is one of
+        // our ShareKeys recipients, and a ciphertext from anyone else is
+        // misrouted.
+        let mut sk_shares = Vec::new();
+        let mut b_shares = Vec::new();
+        if let Some(own) = self.own_b_share.clone() {
+            b_shares.push((self.id, own));
+        }
+        for (from, ct) in std::mem::take(&mut self.inbox) {
+            let Some(key) = self.peer_keys.remove(&from) else {
+                return Err(self.abort(format!("ciphertext from {from}, not a ShareKeys peer")));
+            };
             let aad = aad_for(self.params.round, from, self.id);
-            let plain = match aead::open(&key, &aad, ct) {
+            let plain = match aead::open(&key, &aad, &ct) {
                 Ok(p) => p,
                 Err(_) => return Err(self.abort(format!("ciphertext from {from} failed AEAD"))),
             };
@@ -520,24 +540,11 @@ impl Client {
             if bundle.from != from || bundle.to != self.id {
                 return Err(self.abort("share bundle addressing mismatch"));
             }
-            bundles.insert(from, bundle);
-        }
-        self.inbox = inbox;
-
-        // Respond: s_sk shares for dropped (U2 \ U3), b shares for alive
-        // (U3), own seeds for the removal range.
-        let u3 = self.u3.clone();
-        let mut sk_shares = Vec::new();
-        let mut b_shares = Vec::new();
-        // Own share of own b (we are in U3, or we would not be here).
-        if let Some(own) = self.own_b_share.clone() {
-            b_shares.push((self.id, own));
-        }
-        for (&from, bundle) in bundles.iter() {
-            if u3.contains(&from) {
-                b_shares.push((from, bundle.b_share.clone()));
+            if self.u3.contains(&from) {
+                b_shares.push((from, bundle.b_share));
+                self.peer_seed_shares.insert(from, bundle.seed_shares);
             } else {
-                sk_shares.push((from, bundle.sk_share.clone()));
+                sk_shares.push((from, bundle.sk_share));
             }
         }
         let own_seeds = self.removal_seed_range().map_or_else(Vec::new, |range| {
@@ -591,19 +598,12 @@ impl Client {
             }
         };
         let mut seed_shares = Vec::new();
-        for (&from, ct) in self.inbox.iter() {
-            if !self.u3.contains(&from) || u5.contains(&from) {
+        for (&from, shares) in &self.peer_seed_shares {
+            if u5.contains(&from) {
                 continue;
             }
-            let (c_pk, _) = self.u1[&from];
-            let key = self.c_kp.agree(&c_pk);
-            let aad = aad_for(self.params.round, from, self.id);
-            let plain = aead::open(&key, &aad, ct)
-                .map_err(|_| self_abort_err(self.id, "stage-5 AEAD failure"))?;
-            let bundle = ShareBundle::decode(&plain)
-                .ok_or_else(|| self_abort_err(self.id, "stage-5 malformed bundle"))?;
             for k in range.clone() {
-                if let Some(share) = bundle.seed_shares.get(k - 1) {
+                if let Some(share) = shares.get(k - 1) {
                     seed_shares.push((from, k, share.clone()));
                 }
             }
@@ -717,6 +717,101 @@ mod tests {
         let adv = c.advertise_keys().unwrap();
         assert!(c.share_keys(&[adv], &mut rng).is_err());
         assert!(c.advertise_keys().is_err());
+    }
+
+    /// Drives a 4-client complete-graph round stage by stage up to U3,
+    /// client 3 dropping before its masked input (so Unmasking returns
+    /// s-key shares as well as b-shares). `extra` is routed to client 0
+    /// alongside its honest ciphertexts.
+    fn round_to_unmasking(
+        extra: Option<EncryptedShares>,
+    ) -> (
+        BTreeMap<ClientId, Client>,
+        crate::server::Server,
+        Vec<ClientId>,
+    ) {
+        use crate::driver::{client_rng, share_keys_rng};
+        let seed = 7;
+        let params = params(4, 3);
+        let mut clients: BTreeMap<ClientId, Client> = params
+            .clients
+            .iter()
+            .map(|&id| {
+                let input = input(&[u64::from(id) + 1, 2, 3, 40_000]);
+                let c = Client::new(params.clone(), id, input, None, &mut client_rng(seed, id));
+                (id, c.unwrap())
+            })
+            .collect();
+        let mut server = crate::server::Server::new(params).unwrap();
+        let advs = clients
+            .values_mut()
+            .map(|c| c.advertise_keys().unwrap())
+            .collect();
+        let roster = server.collect_advertisements(advs).unwrap();
+        let mut cts = Vec::new();
+        for (&id, c) in clients.iter_mut() {
+            cts.extend(
+                c.share_keys(&roster, &mut share_keys_rng(seed, id))
+                    .unwrap(),
+            );
+        }
+        let mut inboxes = server.route_shares(cts).unwrap();
+        inboxes.get_mut(&0).unwrap().extend(extra);
+        let mut masked = Vec::new();
+        for (&id, c) in clients.iter_mut().filter(|(&id, _)| id != 3) {
+            masked.push(c.masked_input(inboxes.remove(&id).unwrap()).unwrap());
+        }
+        let u3 = server.collect_masked(masked).unwrap();
+        assert_eq!(u3, vec![0, 1, 2]);
+        (clients, server, u3)
+    }
+
+    #[test]
+    fn unmasking_with_shared_keys_matches_driver() {
+        let (mut clients, mut server, u3) = round_to_unmasking(None);
+        let mut responses = Vec::new();
+        for id in &u3 {
+            let c = clients.get_mut(id).unwrap();
+            // Every survivor agreed a key with each of its 3 peers at
+            // ShareKeys, and Unmasking consumes all of them.
+            assert_eq!(c.peer_keys.len(), 3);
+            responses.push(c.unmask(&u3, None).unwrap());
+            assert!(c.peer_keys.is_empty());
+        }
+        assert!(responses.iter().all(|r| r.sk_shares.len() == 1));
+        server.collect_unmasking(responses).unwrap();
+        let sum = server.finish().sum;
+        // Survivors 0..=2 sum to [1+2+3, 3·2, 3·3, 3·40000 mod 2^16], as
+        // the in-memory driver computes for the same round.
+        assert_eq!(sum, vec![6, 6, 9, 120_000 % (1 << 16)]);
+        let mut dropout = crate::driver::DropoutSchedule::none();
+        dropout.drop_at(3, crate::driver::DropStage::BeforeMaskedInput);
+        let spec = crate::driver::RoundSpec {
+            params: params(4, 3),
+            inputs: (0..4)
+                .map(|id| (id, input(&[u64::from(id) + 1, 2, 3, 40_000])))
+                .collect(),
+            dropout,
+            rng_seed: 7,
+        };
+        let (outcome, _) = crate::driver::run_round(spec).unwrap();
+        assert_eq!(outcome.sum, sum);
+    }
+
+    #[test]
+    fn ciphertext_from_a_non_peer_aborts_unmasking() {
+        let stray = EncryptedShares {
+            from: 99,
+            to: 0,
+            ciphertext: vec![0; 64],
+        };
+        let (mut clients, _, u3) = round_to_unmasking(Some(stray));
+        let c = clients.get_mut(&0).unwrap();
+        let err = c.unmask(&u3, None).unwrap_err();
+        assert!(
+            matches!(&err, SecAggError::ClientAbort { client: 0, reason } if reason.contains("99")),
+            "{err:?}"
+        );
     }
 
     #[test]
